@@ -143,63 +143,56 @@ let splice (r : Rng.t) ~(partner : unit -> prog) (prog : prog) : prog =
   let k = 1 + Rng.int r (List.length prog) in
   List.filteri (fun i _ -> i < k) prog @ shift_refs ~by:k b
 
+(* [req] is satisfied when it is non-empty and every id in it is bound
+   in [latest]; top-level recursion keeps candidate selection
+   closure-free, so it allocates nothing *)
+let rec bound_from (latest : int array) (req : int array) i =
+  i = Array.length req || (latest.(req.(i)) >= 0 && bound_from latest req (i + 1))
+
+let satisfied latest req = Array.length req > 0 && bound_from latest req 0
+
+(* index of the [k]-th (0-based) satisfied syscall at or after [idx] *)
+let rec nth_satisfied latest (required : int array array) idx k =
+  if not (satisfied latest required.(idx)) then nth_satisfied latest required (idx + 1) k
+  else if k = 0 then idx
+  else nth_satisfied latest required (idx + 1) (k - 1)
+
 (* Append one spec syscall whose every required resource is already
    produced by the program: the inserted call's P_result args point at
-   the latest producer of each resource. The latest-producer map keys on
-   the machine-level call name, which over-approximates across spec
-   variants of one call — safe, because any call sharing a producer's
-   name materializes from a ret-carrying spec entry. No candidate, no
-   draw: the no-op depends only on the program, so replay is exact. *)
+   the latest producer of each resource. One forward pass fills
+   [latest], the program position of each resource id's latest
+   producer, through [Proggen.produced_by_name]. That table binds by
+   machine-level call name, which over-approximates across spec
+   variants of one call (an [openat] binds every variant's fd) — safe,
+   because any call sharing a producer's name materializes from a
+   ret-carrying spec entry; binding by variant is ROADMAP item 1b.
+   Candidates are the satisfied syscalls in spec order: one pass counts
+   them for the single draw, a second finds the drawn one. No
+   candidate, no draw: the no-op depends only on the program, so replay
+   is exact. *)
 let insert_dependent (t : Proggen.t) (r : Rng.t) (prog : prog) : prog =
-  let open Syzlang.Ast in
-  (* the reversal is shared: the latest-producer scan walks it, and the
-     appended program is rebuilt from it, so the whole operator touches
-     the program twice instead of the old mapi + concat + per-element
-     remove_assoc + [prog @ [_]] pile-up (quadratic over a chain) *)
-  let rev_prog = List.rev prog in
-  let resource_at =
-    (* backward, keeping the first binding seen per resource = the
-       latest producer, same mapping the old forward fold computed *)
-    let rec scan i acc = function
-      | [] -> acc
-      | (c : call) :: earlier ->
-          let acc =
-            List.fold_left
-              (fun acc (res, pidx) ->
-                if
-                  t.Proggen.syscalls.(pidx).call_name = c.c_name
-                  && not (List.mem_assoc res acc)
-                then (res, i) :: acc
-                else acc)
-              acc t.Proggen.producer_idx
-          in
-          scan (i - 1) acc earlier
-    in
-    scan (List.length rev_prog - 1) [] rev_prog
-  in
-  let cand = ref [] in
+  let latest = Array.make (Array.length t.Proggen.res_names) (-1) in
+  List.iteri
+    (fun i (c : call) ->
+      match Hashtbl.find_opt t.Proggen.produced_by_name c.c_name with
+      | Some ids -> Array.iter (fun id -> latest.(id) <- i) ids
+      | None -> ())
+    prog;
+  let required = t.Proggen.required_ids in
   let ncand = ref 0 in
-  Array.iteri
-    (fun idx req ->
-      if req <> [] && List.for_all (fun res -> List.mem_assoc res resource_at) req then begin
-        cand := idx :: !cand;
-        incr ncand
-      end)
-    t.Proggen.required;
+  for idx = 0 to Array.length required - 1 do
+    if satisfied latest required.(idx) then incr ncand
+  done;
   if !ncand = 0 then prog
   else begin
-    (* !cand is descending; filling back-to-front restores the ascending
-       order the old [List.rev !candidates] fed to the same single draw *)
-    let arr = Array.make !ncand 0 in
-    let k = ref (!ncand - 1) in
-    List.iter
-      (fun idx ->
-        arr.(!k) <- idx;
-        decr k)
-      !cand;
-    let idx = arr.(Rng.int r !ncand) in
+    let idx = nth_satisfied latest required 0 (Rng.int r !ncand) in
+    let resource_at =
+      Array.fold_right
+        (fun id acc -> (t.Proggen.res_names.(id), latest.(id)) :: acc)
+        required.(idx) []
+    in
     let args = Proggen.args_of_index t r ~resource_at idx in
-    List.rev ({ c_name = t.Proggen.syscalls.(idx).call_name; c_args = args } :: rev_prog)
+    prog @ [ { c_name = t.Proggen.syscalls.(idx).call_name; c_args = args } ]
   end
 
 (** Apply one operator. An empty program regenerates from scratch and an

@@ -19,12 +19,19 @@ open Syzlang.Ast
 
 type t = {
   spec : spec;  (** resolved: const values filled in *)
-  producers : (string * syscall) list;  (** resource -> producing syscall *)
   consumers : syscall list;  (** all syscalls *)
   syscalls : syscall array;  (** [consumers] as a dense array *)
-  required : string list array;
-      (** per-syscall resource requirements, precomputed *)
-  producer_idx : (string * int) list;  (** resource -> producing syscall index *)
+  res_names : string array;
+      (** dense resource id -> name, over every resource a syscall
+          returns or requires *)
+  required_ids : int array array;
+      (** per-syscall required resource ids, aligned with [syscalls] *)
+  first_producer : int array;
+      (** resource id -> index of the first syscall (spec order)
+          returning it, or -1 *)
+  produced_by_name : (string, int array) Hashtbl.t;
+      (** machine-level call name -> ids of the resources any spec
+          variant of that name returns *)
   plan : Compiled.t option;  (** compiled plans; [None] = interpreted engine *)
   mutable cur_str : string option;
       (** the program's working string: reused across calls so that
@@ -33,34 +40,48 @@ type t = {
 }
 
 let prepare ?(compiled = true) (spec : spec) : t =
-  let producers =
-    List.filter_map
-      (fun c -> match c.ret with Some r -> Some (r, c) | None -> None)
-      spec.syscalls
-  in
   let syscalls = Array.of_list spec.syscalls in
-  let required =
+  let ids = Hashtbl.create 64 in
+  let names = ref [] in
+  let id_of res =
+    match Hashtbl.find_opt ids res with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids res id;
+        names := res :: !names;
+        id
+  in
+  let required_ids =
     Array.map
-      (fun (c : syscall) -> List.concat_map (fun f -> referenced_resources f.ftyp) c.args)
+      (fun (c : syscall) ->
+        Array.of_list
+          (List.concat_map (fun f -> List.map id_of (referenced_resources f.ftyp)) c.args))
       syscalls
   in
-  let producer_idx =
-    let rec go i = function
-      | [] -> []
-      | c :: rest -> (
-          match c.ret with
-          | Some r -> (r, i) :: go (i + 1) rest
-          | None -> go (i + 1) rest)
-    in
-    go 0 spec.syscalls
-  in
+  let ret_ids = Array.map (fun (c : syscall) -> Option.map id_of c.ret) syscalls in
+  let res_names = Array.of_list (List.rev !names) in
+  let first_producer = Array.make (Array.length res_names) (-1) in
+  let produced_by_name = Hashtbl.create 64 in
+  Array.iteri
+    (fun i ret ->
+      match ret with
+      | None -> ()
+      | Some id ->
+          if first_producer.(id) < 0 then first_producer.(id) <- i;
+          let name = syscalls.(i).call_name in
+          let prev = Option.value ~default:[||] (Hashtbl.find_opt produced_by_name name) in
+          if not (Array.mem id prev) then
+            Hashtbl.replace produced_by_name name (Array.append prev [| id |]))
+    ret_ids;
   {
     spec;
-    producers;
     consumers = spec.syscalls;
     syscalls;
-    required;
-    producer_idx;
+    res_names;
+    required_ids;
+    first_producer;
+    produced_by_name;
     plan = (if compiled then Some (Compiled.compile spec) else None);
     cur_str = None;
   }
@@ -292,10 +313,6 @@ let args_of_index (t : t) (r : Rng.t) ~(resource_at : (string * int) list) (idx 
   | Some plan -> args_of_plan t plan r ~resource_at plan.Compiled.plans.(idx)
   | None -> args_of_call t r ~resource_at t.syscalls.(idx)
 
-(** Resources a syscall needs. *)
-let required_resources (c : syscall) : string list =
-  List.concat_map (fun f -> referenced_resources f.ftyp) c.args
-
 (** Append syscall [idx] to the program under construction, inserting
     producer calls for missing resources first. The program accumulates
     reversed with an explicit length so pushing is O(1) per call. *)
@@ -305,13 +322,12 @@ let rec push_call (t : t) (r : Rng.t)
   if depth > 4 then ()
   else begin
     let c = t.syscalls.(idx) in
-    List.iter
-      (fun res ->
-        if not (List.mem_assoc res !resource_at) then
-          match List.assoc_opt res t.producer_idx with
-          | Some pidx -> push_call t r ~rev_prog ~count ~resource_at ~depth:(depth + 1) pidx
-          | None -> ())
-      t.required.(idx);
+    Array.iter
+      (fun id ->
+        let pidx = t.first_producer.(id) in
+        if pidx >= 0 && not (List.mem_assoc t.res_names.(id) !resource_at) then
+          push_call t r ~rev_prog ~count ~resource_at ~depth:(depth + 1) pidx)
+      t.required_ids.(idx);
     let args = args_of_index t r ~resource_at:!resource_at idx in
     let index = !count in
     rev_prog :=

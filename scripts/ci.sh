@@ -26,8 +26,8 @@ filter() {
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 2>/dev/null | filter > "$tmp/seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 2>/dev/null | filter > "$tmp/par.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 1 2>/dev/null | filter > "$tmp/seq.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 4 2>/dev/null | filter > "$tmp/par.out"
 
 if ! diff -u "$tmp/seq.out" "$tmp/par.out"; then
   echo "FAIL: --jobs 4 output differs from sequential run" >&2
@@ -38,7 +38,7 @@ echo "OK: --jobs 4 table3 output is byte-identical to sequential"
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 4 \
   --trace "$tmp/trace.jsonl" --metrics 2>"$tmp/traced.err" | filter > "$tmp/traced.out"
 
 if ! diff -u "$tmp/seq.out" "$tmp/traced.out"; then
@@ -62,7 +62,7 @@ echo "== fault injection: recovery at a moderate rate =="
 # injected fault recovered, zero degraded modules, and the experiment
 # tables identical to the un-faulted run (the oracle is deterministic,
 # so a recovered query returns exactly what an unfaulted one would).
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15 2>/dev/null \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 15 2>/dev/null \
   | filter > "$tmp/f15.out"
 
 if ! grep -q '^All injected transient faults recovered (0 degraded modules' "$tmp/f15.out"; then
@@ -87,8 +87,8 @@ echo "== fault injection: sharding does not change faulted output =="
 # rate high enough to trip circuit breakers must print the same tables
 # no matter how modules are sharded over workers. (--query-budget is
 # the documented exception and is deliberately absent here.)
-dune exec --no-build bench/main.exe -- --exp table3 --faults 60:5 --jobs 1 2>/dev/null | filter > "$tmp/f60seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --faults 60:5 --jobs 4 2>/dev/null | filter > "$tmp/f60par.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 60:5 --jobs 1 2>/dev/null | filter > "$tmp/f60seq.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 60:5 --jobs 4 2>/dev/null | filter > "$tmp/f60par.out"
 if ! diff -u "$tmp/f60seq.out" "$tmp/f60par.out"; then
   echo "FAIL: --faults 60:5 output depends on --jobs" >&2
   exit 1
@@ -96,8 +96,8 @@ fi
 echo "OK: --faults 60:5 --jobs 4 output is byte-identical to --jobs 1"
 
 echo "== fault injection: same seed, same run =="
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7a.out"
-dune exec --no-build bench/main.exe -- --exp table3 --faults 15:7 2>/dev/null | filter > "$tmp/s7b.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 15:7 2>/dev/null | filter > "$tmp/s7a.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 15:7 2>/dev/null | filter > "$tmp/s7b.out"
 if ! diff -u "$tmp/s7a.out" "$tmp/s7b.out"; then
   echo "FAIL: --faults 15:7 is not reproducible" >&2
   exit 1
@@ -120,7 +120,7 @@ strip_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bench/main.exe -- --exp table3 --faults 0 2>/dev/null \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --faults 0 2>/dev/null \
   | filter | strip_resilience > "$tmp/f0.out"
 if ! diff -u "$tmp/seq.out" "$tmp/f0.out"; then
   echo "FAIL: --faults 0 output differs from a run without the client layer" >&2
@@ -178,8 +178,8 @@ echo "== executor fault injection: deterministic and shard-independent =="
 # An --exec-faults plan is a pure hash of the execution index, so the
 # supervised tables and resilience summary must be byte-identical
 # across --jobs values and across repeated runs.
-dune exec --no-build bench/main.exe -- --exp table3 --exec-faults 10:3 --jobs 1 2>/dev/null | filter > "$tmp/ef_seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --exec-faults 10:3 --jobs 4 2>/dev/null | filter > "$tmp/ef_par.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --exec-faults 10:3 --jobs 1 2>/dev/null | filter > "$tmp/ef_seq.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --exec-faults 10:3 --jobs 4 2>/dev/null | filter > "$tmp/ef_par.out"
 if ! diff -u "$tmp/ef_seq.out" "$tmp/ef_par.out"; then
   echo "FAIL: --exec-faults 10:3 output depends on --jobs" >&2
   exit 1
@@ -199,15 +199,15 @@ echo "== oracle cache: warm runs are byte-identical and query-free =="
 # must print byte-identical tables while performing ZERO oracle queries
 # — every answer replays from the cache, so the warm --metrics registry
 # has no oracle.queries counter at all, only cache hits.
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 1 \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_cold.out"
 if ! diff -u "$tmp/seq.out" "$tmp/cache_cold.out"; then
   echo "FAIL: --oracle-cache changed the cold run's stdout" >&2
   exit 1
 fi
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 --metrics \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 1 --metrics \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>"$tmp/cache_warm.err" | filter > "$tmp/cache_warm1.out"
-dune exec --no-build bench/main.exe -- --exp table3 --jobs 4 \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --jobs 4 \
   --oracle-cache "$tmp/oracle_cache.jsonl" 2>/dev/null | filter > "$tmp/cache_warm4.out"
 if ! diff -u "$tmp/cache_cold.out" "$tmp/cache_warm1.out"; then
   echo "FAIL: warm --jobs 1 run differs from the cold run" >&2
@@ -377,37 +377,47 @@ echo "== BENCH regression gate: within 0.9x of the committed baseline =="
 # load spike doesn't. A gate passing well above 1.0x means the
 # artifacts are stale and should be refreshed.
 check_regression() {
-  fresh=$1; committed=$2; label=$3
-  python3 - "$fresh" "$committed" "$label" <<'EOF'
+  fresh=$1; committed=$2; label=$3; table=$4
+  python3 - "$fresh" "$committed" "$label" "$table" <<'EOF'
 import json, sys
-fresh = {t["name"]: t for t in json.load(open(sys.argv[1]))["tables"]}["table4"]["execs_per_s"]
-committed = {t["name"]: t for t in json.load(open(sys.argv[2]))["tables"]}["table4"]["execs_per_s"]
+table = sys.argv[4]
+fresh = {t["name"]: t for t in json.load(open(sys.argv[1]))["tables"]}[table]["execs_per_s"]
+committed = {t["name"]: t for t in json.load(open(sys.argv[2]))["tables"]}[table]["execs_per_s"]
 ratio = fresh / committed
 print("%s: %.0f execs/s vs committed %.0f (%.2fx)" % (sys.argv[3], fresh, committed, ratio))
 assert ratio >= 0.9, "%s throughput regressed to %.2fx of the committed baseline" % (sys.argv[3], ratio)
 EOF
 }
 gate() {
-  first=$1; committed=$2; label=$3; engine_flag=$4
-  if check_regression "$first" "$committed" "$label"; then return 0; fi
+  first=$1; committed=$2; label=$3; engine_flag=$4; table=$5
+  if check_regression "$first" "$committed" "$label" "$table"; then return 0; fi
   for retry in 1 2; do
     echo "retrying $label bench (attempt $((retry + 1))/3, ruling out a load spike)"
     # shellcheck disable=SC2086
-    dune exec --no-build bench/main.exe -- --exp table4 --jobs 1 $engine_flag \
+    dune exec --no-build bench/main.exe -- --exp "$table" --jobs 1 $engine_flag \
       --bench-out "$tmp/bench_retry.json" >/dev/null 2>&1
-    if check_regression "$tmp/bench_retry.json" "$committed" "$label"; then return 0; fi
+    if check_regression "$tmp/bench_retry.json" "$committed" "$label" "$table"; then return 0; fi
   done
   return 1
 }
-if ! gate "$tmp/bench_c1.json" BENCH_table4_quick.json compiled ""; then
+if ! gate "$tmp/bench_c1.json" BENCH_table4_quick.json compiled "" table4; then
   echo "FAIL: compiled table4 throughput fell below 0.9x the committed baseline (best of 3)" >&2
   exit 1
 fi
-if ! gate "$tmp/bench_i1.json" BENCH_table4-interpreted_quick.json interpreted "--interpreted"; then
+if ! gate "$tmp/bench_i1.json" BENCH_table4-interpreted_quick.json interpreted "--interpreted" table4; then
   echo "FAIL: interpreted table4 throughput fell below 0.9x the committed baseline (best of 3)" >&2
   exit 1
 fi
-echo "OK: both engines are within 0.9x of their committed BENCH baselines"
+# table3 fuzzes the whole kernel with merged 2-3k-syscall suites, so its
+# gate also covers suite merging and insert-dependent-call, which the
+# per-module table4 suites barely exercise
+dune exec --no-build bench/main.exe -- --exp table3 --jobs 1 \
+  --bench-out "$tmp/bench_t3.json" >/dev/null 2>&1
+if ! gate "$tmp/bench_t3.json" BENCH_table3_quick.json table3 "" table3; then
+  echo "FAIL: table3 throughput fell below 0.9x the committed baseline (best of 3)" >&2
+  exit 1
+fi
+echo "OK: table4 (both engines) and table3 are within 0.9x of their committed BENCH baselines"
 
 echo "== UCB scheduling: stop/resume, shard independence, sched pinning =="
 # The UCB scheduler's state (per-slot visit/reward counters, operator
@@ -495,8 +505,8 @@ strip_pool_resilience() {
     END { if (blank) print "" }
   '
 }
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 15:7 --jobs 1 2>/dev/null | filter > "$tmp/pf_seq.out"
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 15:7 --jobs 4 2>/dev/null | filter > "$tmp/pf_par.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --pool-faults 15:7 --jobs 1 2>/dev/null | filter > "$tmp/pf_seq.out"
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --pool-faults 15:7 --jobs 4 2>/dev/null | filter > "$tmp/pf_par.out"
 if ! diff -u "$tmp/pf_seq.out" "$tmp/pf_par.out"; then
   echo "FAIL: --pool-faults 15:7 output depends on --jobs" >&2
   exit 1
@@ -515,13 +525,13 @@ if ! diff -u "$tmp/seq.out" "$tmp/pf_strip.out"; then
   echo "FAIL: recovered --pool-faults 15:7 tables differ from the un-faulted run" >&2
   exit 1
 fi
-dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 0 2>/dev/null \
+dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --pool-faults 0 2>/dev/null \
   | filter | strip_pool_resilience > "$tmp/pf0.out"
 if ! diff -u "$tmp/seq.out" "$tmp/pf0.out"; then
   echo "FAIL: --pool-faults 0 output differs from a run without pool fault injection" >&2
   exit 1
 fi
-if ! dune exec --no-build bench/main.exe -- --exp table3 --pool-faults 100:3 --jobs 4 \
+if ! dune exec --no-build bench/main.exe -- --exp table3 --bench-out "$tmp/bench_discard.json" --pool-faults 100:3 --jobs 4 \
      --metrics 2>"$tmp/pfq.err" | filter > "$tmp/pfq.out"; then
   echo "FAIL: a rate-100 pool fault plan crashed the run instead of degrading it" >&2
   exit 1

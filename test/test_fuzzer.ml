@@ -167,6 +167,95 @@ let qcheck_mutation_dependency_invariant =
           !ok)
         [ true; false ])
 
+(* The association-list [insert_dependent] that the dense-table operator
+   replaced, kept as a reference: latest producers are found by
+   matching each program call's name against every (resource, producer)
+   pair, candidates by [List.mem_assoc] over that binding. The pairs and
+   per-syscall requirements it read from [Proggen.t] are rebuilt here
+   from the spec. *)
+let reference_insert_dependent (t : Fuzzer.Proggen.t) (r : Fuzzer.Rng.t)
+    (prog : Vkernel.Machine.prog) : Vkernel.Machine.prog =
+  let open Syzlang.Ast in
+  let open Vkernel.Machine in
+  let syscalls = t.Fuzzer.Proggen.syscalls in
+  let producer_idx =
+    List.concat
+      (List.mapi
+         (fun i (c : syscall) -> match c.ret with Some res -> [ (res, i) ] | None -> [])
+         (Array.to_list syscalls))
+  in
+  let required =
+    Array.map
+      (fun (c : syscall) -> List.concat_map (fun f -> referenced_resources f.ftyp) c.args)
+      syscalls
+  in
+  let rev_prog = List.rev prog in
+  let resource_at =
+    let rec scan i acc = function
+      | [] -> acc
+      | (c : call) :: earlier ->
+          let acc =
+            List.fold_left
+              (fun acc (res, pidx) ->
+                if syscalls.(pidx).call_name = c.c_name && not (List.mem_assoc res acc) then
+                  (res, i) :: acc
+                else acc)
+              acc producer_idx
+          in
+          scan (i - 1) acc earlier
+    in
+    scan (List.length rev_prog - 1) [] rev_prog
+  in
+  let cand = ref [] in
+  let ncand = ref 0 in
+  Array.iteri
+    (fun idx req ->
+      if req <> [] && List.for_all (fun res -> List.mem_assoc res resource_at) req then begin
+        cand := idx :: !cand;
+        incr ncand
+      end)
+    required;
+  if !ncand = 0 then prog
+  else begin
+    let arr = Array.of_list (List.rev !cand) in
+    let idx = arr.(Fuzzer.Rng.int r !ncand) in
+    let args = Fuzzer.Proggen.args_of_index t r ~resource_at idx in
+    List.rev ({ c_name = syscalls.(idx).call_name; c_args = args } :: rev_prog)
+  end
+
+let whole_kernel_syzkaller =
+  lazy
+    (let entries = Corpus.Registry.loaded () in
+     let kernel = (Vkernel.Machine.boot entries).Vkernel.Machine.index in
+     Syzlang.Validate.resolve_spec ~kernel (Baseline.Syzkaller_specs.suite entries))
+
+let test_insert_dependent_matches_reference () =
+  let spec = Lazy.force whole_kernel_syzkaller in
+  let t = Fuzzer.Proggen.prepare spec in
+  let r = Fuzzer.Rng.make 12 in
+  let grew = ref 0 in
+  let check prog =
+    (* both operators start from the same RNG word and working string *)
+    let word = Fuzzer.Rng.state r and str = t.Fuzzer.Proggen.cur_str in
+    let want = reference_insert_dependent t r prog in
+    let want_next = Fuzzer.Rng.next_int64 r in
+    Fuzzer.Rng.set_state r word;
+    t.Fuzzer.Proggen.cur_str <- str;
+    let got = Fuzzer.Mutator.insert_dependent t r prog in
+    Alcotest.(check bool) "same program" true (got = want);
+    Alcotest.(check int64) "same next draw" want_next (Fuzzer.Rng.next_int64 r);
+    if List.length got > List.length prog then incr grew
+  in
+  for _ = 1 to 60 do
+    let prog = ref (Fuzzer.Proggen.generate t r ()) in
+    check !prog;
+    for _ = 1 to 3 do
+      prog := Fuzzer.Mutator.mutate t r !prog;
+      check !prog
+    done
+  done;
+  Alcotest.(check bool) "the operator inserted calls" true (!grew > 50)
+
 let mk name args = { Vkernel.Machine.c_name = name; c_args = args }
 
 (* (consumer name, referent name) for every P_result in the program;
@@ -509,6 +598,7 @@ let () =
           t "swap refuses dependent" test_swap_refuses_dependent;
           t "swap remaps later refs" test_swap_remaps_later_refs;
           t "empty union degrades" test_empty_union_degrades;
+          t "insert-dependent matches reference" test_insert_dependent_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_mutation_dependency_invariant;
         ] );
       ( "schedule",

@@ -274,6 +274,93 @@ let qcheck_printer_parser_stable =
       let spec2 = Syzlang.Parser.parse_spec ~name:"x" text in
       List.length spec2.syscalls = List.length spec.syscalls)
 
+(* Random small specs whose resource, syscall, type and flag-set names
+   collide across specs while their contents differ, so "first
+   definition wins" is observable. *)
+let gen_small_spec =
+  let open QCheck.Gen in
+  let module A = Syzlang.Ast in
+  let name p = map (fun k -> p ^ string_of_int k) (int_bound 3) in
+  let resource =
+    map2 (fun res_name res_underlying -> { A.res_name; res_underlying }) (name "r")
+      (oneofl [ "fd"; "int32" ])
+  in
+  let syscall =
+    map4
+      (fun call_name variant arg ret ->
+        let args = if arg then [ { A.fname = "a"; ftyp = A.Resource_ref "r0" } ] else [] in
+        { A.call_name; variant; args; ret })
+      (oneofl [ "ioctl"; "openat" ])
+      (opt (name "V"))
+      bool
+      (opt (name "r"))
+  in
+  let comp =
+    map2
+      (fun comp_name comp_kind -> { A.comp_name; comp_kind; comp_fields = [] })
+      (name "T") (oneofl [ A.Struct; A.Union ])
+  in
+  let flags =
+    map2
+      (fun set_name n ->
+        { A.set_name; set_values = List.init n (fun i -> A.const_of_value (Int64.of_int i)) })
+      (name "F") (int_bound 2)
+  in
+  let few g = list_size (int_bound 4) g in
+  map4
+    (fun (spec_name, resources) syscalls types flag_sets ->
+      { A.spec_name; resources; syscalls; types; flag_sets })
+    (pair (name "s") (few resource))
+    (few syscall) (few comp) (few flags)
+
+let arb_specs =
+  QCheck.make
+    ~print:(fun specs -> String.concat "\n----\n" (List.map Syzlang.Printer.spec_str specs))
+    QCheck.Gen.(list_size (int_bound 6) gen_small_spec)
+
+(* the reference: a left fold that deduplicates the accumulated suite at
+   every step, checking membership by list scan *)
+let merge_by_fold ~name (specs : Syzlang.Ast.spec list) : Syzlang.Ast.spec =
+  let module A = Syzlang.Ast in
+  let add key acc xs =
+    List.fold_left
+      (fun acc x -> if List.exists (fun y -> key y = key x) acc then acc else acc @ [ x ])
+      acc xs
+  in
+  List.fold_left
+    (fun (acc : A.spec) (s : A.spec) ->
+      {
+        acc with
+        A.resources = add (fun r -> r.A.res_name) acc.A.resources s.A.resources;
+        syscalls = add A.syscall_full_name acc.syscalls s.syscalls;
+        types = add (fun c -> c.A.comp_name) acc.types s.types;
+        flag_sets = add (fun f -> f.A.set_name) acc.flag_sets s.flag_sets;
+      })
+    (A.empty_spec name) specs
+
+let qcheck_merge_all_one_pass =
+  QCheck.Test.make ~name:"one-pass merge_all equals the step-wise fold" ~count:300 arb_specs
+    (fun specs ->
+      Syzlang.Merge.merge_all ~name:"m" specs = merge_by_fold ~name:"m" specs
+      &&
+      match specs with
+      | a :: b :: _ -> Syzlang.Merge.merge2 a b = merge_by_fold ~name:a.spec_name [ a; b ]
+      | _ -> true)
+
+let qcheck_new_names_match_scan =
+  QCheck.Test.make ~name:"new_syscalls/new_types equal the list-scan filter" ~count:300
+    (QCheck.pair (QCheck.make gen_small_spec) (QCheck.make gen_small_spec))
+    (fun (base, next) ->
+      let module A = Syzlang.Ast in
+      let fresh key base_xs xs =
+        let names = List.map key base_xs in
+        List.filter (fun x -> not (List.mem (key x) names)) xs
+      in
+      Syzlang.Merge.new_syscalls ~base next
+      = fresh A.syscall_full_name base.A.syscalls next.A.syscalls
+      && Syzlang.Merge.new_types ~base next
+         = fresh (fun c -> c.A.comp_name) base.A.types next.A.types)
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "syzlang"
@@ -306,6 +393,8 @@ let () =
           t "new syscalls" test_new_syscalls;
           t "rewrite substitution" test_rewrite_substitution;
           t "counts" test_counts;
+          QCheck_alcotest.to_alcotest qcheck_merge_all_one_pass;
+          QCheck_alcotest.to_alcotest qcheck_new_names_match_scan;
         ] );
       ("corpus-specs", [ t "all manual specs parse+validate" test_manual_specs_parse_and_validate ]);
     ]
