@@ -419,6 +419,45 @@ if ! gate "$tmp/bench_t3.json" BENCH_table3_quick.json table3 "" table3; then
 fi
 echo "OK: table4 (both engines) and table3 are within 0.9x of their committed BENCH baselines"
 
+echo "== BENCH regression gate: every quick table of the whole report =="
+# BENCH_all_quick.json records one whole quick report (--exp all
+# --jobs 1). Every fuzzing table of a fresh whole report must reach
+# 0.9x of its committed execs/s. A table passes on its best of up to
+# three whole-report runs, so a load spike during one table does not
+# fail it; a real regression fails all three.
+check_all_tables() {
+  python3 - BENCH_all_quick.json "$@" <<'EOF'
+import json, sys
+def rates(f):
+    return {t["name"]: t["execs_per_s"] for t in json.load(open(f))["tables"]}
+committed = rates(sys.argv[1])
+runs = [rates(f) for f in sys.argv[2:]]
+failed = []
+for name in ["table3", "table4", "table5", "table6", "ablation", "ablation-sched"]:
+    best = max(r[name] for r in runs)
+    ratio = best / committed[name]
+    print("all/%s: best %.0f execs/s vs committed %.0f (%.2fx)" % (name, best, committed[name], ratio))
+    if ratio < 0.9:
+        failed.append(name)
+assert not failed, "below 0.9x of the committed baseline: " + ", ".join(failed)
+EOF
+}
+all_runs=""
+all_ok=0
+for attempt in 1 2 3; do
+  dune exec --no-build bench/main.exe -- --exp all --jobs 1 \
+    --bench-out "$tmp/bench_all_$attempt.json" >/dev/null 2>&1
+  all_runs="$all_runs $tmp/bench_all_$attempt.json"
+  # shellcheck disable=SC2086
+  if check_all_tables $all_runs; then all_ok=1; break; fi
+  echo "whole-report gate not met after $attempt run(s); re-measuring"
+done
+if [ "$all_ok" -ne 1 ]; then
+  echo "FAIL: a quick table's throughput fell below 0.9x BENCH_all_quick.json (best of 3)" >&2
+  exit 1
+fi
+echo "OK: all six quick tables are within 0.9x of BENCH_all_quick.json"
+
 echo "== UCB scheduling: stop/resume, shard independence, sched pinning =="
 # The UCB scheduler's state (per-slot visit/reward counters, operator
 # credit) lives in the checkpoint, so a stopped --sched ucb campaign
