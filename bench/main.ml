@@ -13,14 +13,11 @@
       dune exec bench/main.exe -- --exp table3 --exec-faults 10:3     # executor wedges
       dune exec bench/main.exe -- --exp table3 --pool-faults 15:7     # worker faults
       dune exec bench/main.exe -- --oracle-cache warm.jsonl           # answer cache
-      dune exec bench/main.exe -- --interpreted    # legacy AST-walking engine
       dune exec bench/main.exe -- --sched ucb      # UCB seed/operator scheduling
       dune exec bench/main.exe -- --bench-out b.json  # BENCH artifact path
 
-    Tables on stdout are byte-identical for any --jobs value, with or
-    without --faults (fault handling is scoped per module), and for
-    either campaign engine (--interpreted vs the default compiled one).
-    The one exception is --query-budget with --jobs > 1: the shared
+    Tables on stdout are byte-identical for any --jobs value, and with
+    or without --faults (fault handling is scoped per module). The one exception is --query-budget with --jobs > 1: the shared
     budget is consumed in scheduler order, so which queries it refuses
     varies run to run — budget-bound runs reproduce exactly only at
     --jobs 1. The pool speedup summary, the --metrics registry, and
@@ -202,9 +199,6 @@ let () =
             Printf.eprintf "%s\n" msg;
             exit 2)
   in
-  let engine =
-    if has "--interpreted" then Fuzzer.Campaign.Interpreted else Fuzzer.Campaign.Compiled
-  in
   let sched =
     match value_of "--sched" with
     | None -> Fuzzer.Schedule.Uniform
@@ -220,14 +214,13 @@ let () =
     let scale_str = match scale with Report.Runner.Full -> "full" | Quick -> "quick" in
     let bench =
       Report.Bench_json.create
-        ~engine:(match engine with Fuzzer.Campaign.Compiled -> "compiled" | Interpreted -> "interpreted")
         ~sched:(Fuzzer.Schedule.mode_to_string sched)
         ~scale:scale_str
         ~which:(Report.Runner.string_of_which which)
         ~jobs
     in
     Report.Runner.run ~scale ~which ~jobs ?faults ?query_budget ?exec_faults ?pool_faults
-      ?oracle_cache ~engine ~sched ~bench ();
+      ?oracle_cache ~sched ~bench ();
     let bench_file =
       match value_of "--bench-out" with
       | Some f -> f

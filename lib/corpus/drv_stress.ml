@@ -1,12 +1,13 @@
 (** Executor stress driver ([/dev/stress0]) — not part of the paper
     population.
 
-    This module exists for the engine-differential suite: it leans on
-    exactly the executor machinery the compiled engine reimplements
-    (top-level labels driven by [goto] loops, a six-parameter helper
-    called with too few and too many arguments, a parameter shadowing a
-    global, a [goto] that jumps over a local's first write, implicit
-    declarations, and the high-arity builtins). It is registered only in
+    This module exists for the executor differential tests (the JIT
+    against the test suite's reference tree-walker): it leans on exactly
+    the executor machinery the JIT compiles away (top-level labels
+    driven by [goto] loops, a six-parameter helper called with too few
+    and too many arguments, a parameter shadowing a global, a [goto]
+    that jumps over a local's first write, implicit declarations, and
+    the high-arity builtins). It is registered only in
     {!Registry.extras}, so population counts, campaign schedules and
     every seeded RNG stream stay byte-identical to a tree without it. *)
 
@@ -55,7 +56,7 @@ static long stress_shadow(long _stress_acc)
 }
 
 /* goto loop over top-level labels: the label map must be built from
- * the same statement walk in both engines. */
+ * the same statement walk in both executors. */
 static long stress_spin(long rounds, long step)
 {
   long acc;
@@ -73,7 +74,7 @@ done:
 }
 
 /* The goto jumps over tmp's first write: tmp must read as its declared
- * zero afterwards, in both engines. */
+ * zero afterwards, in both executors. */
 static long stress_skip_write(long flag)
 {
   long tmp;
@@ -85,7 +86,7 @@ after:
 }
 
 /* counter is never declared: implicit locals resolve the same way in
- * the tree walker and in the slot allocator. */
+ * the reference walker and in the JIT's slot allocator. */
 static long stress_implicit(long x)
 {
   counter = x * 2;

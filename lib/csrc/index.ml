@@ -91,7 +91,7 @@ let find_function t name = Hashtbl.find_opt t.functions name
 let find_composite t name = Hashtbl.find_opt t.composites name
 let find_macro t name = Hashtbl.find_opt t.macros name
 let find_global t name = Hashtbl.find_opt t.globals name
-let find_typedef t name = Hashtbl.find_opt t.typedefs name
+let typedef_target t name = Hashtbl.find_opt t.typedefs name
 let find_enum_item t name = Hashtbl.find_opt t.enums_by_item name
 
 let typedef_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.typedefs []
@@ -126,7 +126,7 @@ let rec size_align t (ty : Ast.ctype) : int * int =
       match builtin_named_width n with
       | Some b -> (b, b)
       | None -> (
-          match find_typedef t n with
+          match typedef_target t n with
           | Some ty' -> size_align t ty'
           | None -> (8, 8)))
   | Ast.Array (elem, Some n) ->

@@ -47,19 +47,9 @@ let crash_titles res =
 
 let max_corpus = 512
 
-(** Which generation/execution pipeline the campaign uses. [Compiled]
-    (the default) walks {!Compiled} plans and executes through the
-    {!Vkernel.Jit} with a reusable coverage sink; [Interpreted] re-walks
-    the syzlang types and the mini-C AST per program. Both consume the
-    RNG identically and produce identical results — the engine is a
-    throughput choice, not campaign state, which is why it is not part
-    of the checkpoint. *)
-type engine = Compiled | Interpreted
-
 type t = {
   machine : Vkernel.Machine.t;
   gen : Proggen.t;
-  engine : engine;
   sink : Vkernel.Machine.cov_sink;
   rng : Rng.t;
   sup : Supervisor.t;
@@ -106,18 +96,17 @@ let cover_sid (t : t) (sid : int) : bool =
   end
 
 let init ?(seed = 1) ?(budget = 2000) ?(step_budget = 50_000) ?(max_corpus = max_corpus)
-    ?(supervisor = Supervisor.default) ?(engine = Compiled) ?(sched = Schedule.Uniform)
+    ?(supervisor = Supervisor.default) ?(sched = Schedule.Uniform)
     ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : t =
   let spec_name = spec.Syzlang.Ast.spec_name in
   let spec = Syzlang.Validate.resolve_spec ~kernel:machine.Vkernel.Machine.index spec in
   (* pay the whole-index compilation before the first execution, not
      inside it: keeps the first measured exec honest and the lazy cell
      out of the hot path's first touch *)
-  if engine = Compiled then ignore (Lazy.force machine.Vkernel.Machine.jit);
+  ignore (Lazy.force machine.Vkernel.Machine.jit);
   {
     machine;
-    gen = Proggen.prepare ~compiled:(engine = Compiled) spec;
-    engine;
+    gen = Proggen.prepare spec;
     sink = Vkernel.Machine.new_sink machine;
     rng = Rng.make seed;
     sup = Supervisor.create supervisor;
@@ -141,7 +130,7 @@ let init ?(seed = 1) ?(budget = 2000) ?(step_budget = 50_000) ?(max_corpus = max
 (** Execute one program. False once the budget is spent (or the spec has
     no reachable syscalls): the campaign is complete. *)
 let step (t : t) : bool =
-  if t.gen.Proggen.consumers = [] || t.executions >= t.budget then false
+  if Array.length t.gen.Proggen.syscalls = 0 || t.executions >= t.budget then false
   else begin
     t.executions <- t.executions + 1;
     (* (slot, op) of a scheduled mutation, for crediting its reward *)
@@ -180,13 +169,8 @@ let step (t : t) : bool =
       end
       else begin
         let res =
-          match t.engine with
-          | Compiled ->
-              Vkernel.Machine.exec_prog_sink ~step_budget:t.t_step_budget ~sink:t.sink
-                t.machine prog
-          | Interpreted ->
-              Vkernel.Machine.exec_prog ~step_budget:t.t_step_budget ~engine:`Interp
-                t.machine prog
+          Vkernel.Machine.exec_prog_sink ~step_budget:t.t_step_budget ~sink:t.sink t.machine
+            prog
         in
         ignore
           (Supervisor.record t.sup ~instance ~timed_out:res.Vkernel.Machine.timed_out
@@ -203,24 +187,16 @@ let step (t : t) : bool =
                 Hashtbl.replace t.crashes c.cr_title prog
             | Some _ -> ())
         | None -> ());
-        let fresh =
-          match t.engine with
-          | Compiled ->
-              (* the sink's touched list replaces the per-exec coverage
-                 list: one pass marks fresh sids and updates the set with
-                 no intermediate allocation *)
-              let sk = t.sink in
-              let fresh = ref false in
-              for i = 0 to sk.Vkernel.Machine.cs_n - 1 do
-                if cover_sid t sk.Vkernel.Machine.cs_buf.(i) then fresh := true
-              done;
-              Vkernel.Machine.sink_reset sk;
-              !fresh
-          | Interpreted ->
-              List.fold_left
-                (fun fresh sid -> cover_sid t sid || fresh)
-                false res.coverage
-        in
+        (* the sink's touched list replaces the per-exec coverage list:
+           one pass marks fresh sids and updates the set with no
+           intermediate allocation *)
+        let sk = t.sink in
+        let fresh = ref false in
+        for i = 0 to sk.Vkernel.Machine.cs_n - 1 do
+          if cover_sid t sk.Vkernel.Machine.cs_buf.(i) then fresh := true
+        done;
+        Vkernel.Machine.sink_reset sk;
+        let fresh = !fresh in
         reward ~fresh;
         if fresh then
           if t.corpus_n < t.t_max_corpus then begin
@@ -321,7 +297,7 @@ let snapshot (t : t) : Checkpoint.snapshot =
     sup_counters = counters;
   }
 
-let of_snapshot ?engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
+let of_snapshot ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     (s : Checkpoint.snapshot) : (t, string) Stdlib.result =
   if s.Checkpoint.spec_name <> spec.Syzlang.Ast.spec_name then
     Error
@@ -347,7 +323,7 @@ let of_snapshot ?engine ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec)
     | Error e -> Error e
     | Ok sup ->
         let t =
-          init ?engine ~seed:s.seed ~budget:s.budget ~step_budget:s.step_budget
+          init ~seed:s.seed ~budget:s.budget ~step_budget:s.step_budget
             ~max_corpus:s.max_corpus ~supervisor:s.supervisor ~sched:s.sched ~machine spec
         in
         let t = { t with sup } in
@@ -446,10 +422,8 @@ let drive ?(checkpoint_every = 0) ?(on_checkpoint = fun _ -> ()) ?stop_after (t 
   loop ()
 
 (** Run a campaign of [budget] program executions. *)
-let run ?seed ?budget ?step_budget ?max_corpus ?supervisor ?engine ?sched
+let run ?seed ?budget ?step_budget ?max_corpus ?supervisor ?sched
     ~(machine : Vkernel.Machine.t) (spec : Syzlang.Ast.spec) : result =
-  let t =
-    init ?seed ?budget ?step_budget ?max_corpus ?supervisor ?engine ?sched ~machine spec
-  in
+  let t = init ?seed ?budget ?step_budget ?max_corpus ?supervisor ?sched ~machine spec in
   ignore (drive t);
   result t

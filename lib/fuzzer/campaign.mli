@@ -44,16 +44,8 @@ val crash_titles : result -> string list
 (** Live campaign state. *)
 type t
 
-(** Which generation/execution pipeline the campaign uses. [Compiled]
-    (the default) walks pre-lowered {!Compiled} plans, runs handler
-    bodies through the {!Vkernel.Jit} closures and collects coverage in
-    a reusable bitmap sink; [Interpreted] is the historical per-call
-    AST walk. The two are differentially identical — same programs,
-    coverage sets, and crash tables for any seed — so the engine is a
-    performance choice, not campaign state, and is never checkpointed. *)
-type engine = Compiled | Interpreted
-
-(** Build the campaign state: resolve the spec, seed the RNG, size the
+(** Build the campaign state: resolve the spec, compile its generation
+    plans, force the machine's JIT, seed the RNG, size the
     corpus ring (default 512), create the {!Supervisor} (default: 4
     instances, wedge threshold 3, no injected faults). [sched] selects
     corpus/operator scheduling (default {!Schedule.Uniform}, the
@@ -66,7 +58,6 @@ val init :
   ?step_budget:int ->
   ?max_corpus:int ->
   ?supervisor:Supervisor.config ->
-  ?engine:engine ->
   ?sched:Schedule.mode ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->
@@ -95,7 +86,6 @@ val snapshot : t -> Checkpoint.snapshot
     exceeds its own budget, carries inconsistent supervisor state, or
     records a different operator-ensemble size than this build. *)
 val of_snapshot :
-  ?engine:engine ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->
   Checkpoint.snapshot ->
@@ -129,7 +119,6 @@ val run :
   ?step_budget:int ->
   ?max_corpus:int ->
   ?supervisor:Supervisor.config ->
-  ?engine:engine ->
   ?sched:Schedule.mode ->
   machine:Vkernel.Machine.t ->
   Syzlang.Ast.spec ->

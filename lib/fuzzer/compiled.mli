@@ -2,10 +2,8 @@
     flat generation plans, so {!Proggen} draws arguments by dense array
     indexing instead of per-call list searches.
 
-    Plans are pure data — all randomness stays in {!Proggen}'s walkers,
-    which follow the exact RNG draw sequence of the interpreted path so
-    compiled and interpreted campaigns from the same seed are
-    byte-identical. *)
+    Plans are pure data — all randomness stays in {!Proggen}, which
+    walks them. *)
 
 (** Generation plan for one userspace value ({!Vkernel.Value.uval}). *)
 type gen =
@@ -62,17 +60,5 @@ type t = {
       (** base syscall name -> payload plan of the first matching
           syscall's first pointer argument (mutation retyping) *)
 }
-
-val const_value : Syzlang.Ast.const_ref -> int64
-
-(** Size in bytes a value of this syzlang type occupies on the wire
-    (naive C layout: sum for structs, max for unions, no padding);
-    depth-capped, always at least 1. *)
-val type_size : types:Syzlang.Ast.comp_def list -> Syzlang.Ast.typ -> int
-
-(** Bytes per counted element of a [bytesize] target: element width for
-    arrays, 1 for strings/buffers, the pointee's scale for pointers, the
-    full type size otherwise. *)
-val bytesize_scale : types:Syzlang.Ast.comp_def list -> Syzlang.Ast.typ -> int
 
 val compile : Syzlang.Ast.spec -> t

@@ -11,7 +11,7 @@
 
     All operators consume RNG words in a count that depends only on the
     input program (never on hidden state), so campaigns stay
-    deterministic and checkpoint/resume exact under either engine. *)
+    deterministic and checkpoint/resume exact. *)
 
 open Vkernel.Machine
 
@@ -79,7 +79,7 @@ let regen_payload (t : Proggen.t) (r : Rng.t) (prog : prog) : prog =
 
 (* Duplicating call [v] inserts one call at index v+1, so every
    reference at-or-after v in the calls that follow must shift by one —
-   the historical operator skipped the shift and left later consumers
+   the historical operator skipped the shift and left those references
    pointing one call too early. The copies' own refs are strictly below
    v (the input is well-formed) and stay put. *)
 let duplicate_call (r : Rng.t) (prog : prog) : prog =

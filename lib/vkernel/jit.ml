@@ -1,8 +1,10 @@
-(** Closure compiler for the mini-C dialect (the "jump-table executor").
+(** Closure compiler for the mini-C dialect (the "jump-table executor"),
+    the one production executor of handler bodies.
 
-    {!Interp} re-walks the AST on every execution: each statement match,
-    identifier classification, builtin-vs-user decision and label search
-    happens again for every program a campaign runs. This module lowers
+    A tree-walker re-walks the AST on every execution: each statement
+    match, identifier classification, builtin-vs-user decision and label
+    search happens again for every program a campaign runs. This module
+    lowers
     each function body once into a flat array of closures — statements
     become [jenv -> unit], expressions [jenv -> value] — and resolves
     everything a frozen index can resolve at compile time:
@@ -25,13 +27,14 @@
       [Stbl] probes the compiled code performs hit the pointer-compare
       fast path.
 
-    The compiled code is an exact semantic mirror of {!Interp}: it
-    shares the interpreter's state, builtins, crash and timeout
-    machinery, and performs the same side effects (including object
-    allocation order) in the same order, so coverage sets, crash titles
-    and return values are identical executor-for-executor. Only the
-    dispatch cost differs. [scripts/ci.sh] and the QCheck differential
-    suite hold the two executors to byte-identical behaviour. *)
+    The compiled code runs over the {!Interp} runtime (state, builtins,
+    crash and timeout machinery) and is an exact semantic mirror of the
+    test suite's reference tree-walker ([test/reference/walker.ml]): it
+    performs the same side effects (including object allocation order)
+    in the same order, so coverage sets, crash titles and return values
+    are identical executor-for-executor. The QCheck differential suite
+    holds the two to identical behaviour on generated, mutated and
+    campaign-kept programs. *)
 
 open Value
 
@@ -44,7 +47,7 @@ exception Goto_idx of int
    [B_unbound] constructor is private to slot bookkeeping), compared
    physically. It marks a slot whose declaration has not executed yet,
    so name resolution falls back to globals/constants exactly where the
-   interpreter's hashtable probe would miss. *)
+   reference walker's hashtable probe would miss. *)
 let unbound : value = Value.unbound
 
 (** Per-call frame of a compiled function. *)
@@ -79,7 +82,7 @@ type ctx = {
   cfn : string;
   clabels : (string * int) list;
       (** top-level label -> statement index; first occurrence wins,
-          like the interpreter's label search *)
+          like the reference walker's label search *)
   cslots : int Stbl.t;
   mutable cnslots : int;
   mutable ctop : bool;
@@ -105,7 +108,7 @@ let slot_of (ctx : ctx) (name : string) : int =
 (* Globals                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Mirror of {!Interp.get_global}: same lazy-on-first-touch contract
+(** Mirror of the reference walker's [get_global]: same lazy-on-first-touch contract
     and the same object allocation order, but running the compiled
     initializer plan instead of re-walking the AST. *)
 let get_global_h (eng : t) (st : Interp.state) (h : int) (name : string) : value option =
@@ -122,7 +125,7 @@ let get_global_h (eng : t) (st : Interp.state) (h : int) (name : string) : value
 let get_global (eng : t) (st : Interp.state) (name : string) : value option =
   get_global_h eng st (Stbl.hash name) name
 
-(* Mirror of [Interp.zero_value], with every type decision taken at
+(* Mirror of the reference walker's [zero_value], with every type decision taken at
    compile time. Composite zeroing delegates to [Interp.typed_obj] at
    runtime: it is already a single pass over the frozen layout, and
    sharing it guarantees identical field defaults and oid order. *)
@@ -142,7 +145,7 @@ let rec compile_zero (eng : t) ~(fn : string) (ty : Csrc.Ast.ctype) :
   | Csrc.Ast.Struct_ref name | Csrc.Ast.Union_ref name ->
       fun st -> vptr (Interp.typed_obj st ~fn name)
 
-(* Mirror of [Interp.init_value]: all index lookups (function names,
+(* Mirror of the reference walker's [init_value]: all index lookups (function names,
    macros, enum items, string macros, constant folding) happen here,
    once; only references to other globals stay runtime thunks, because
    they must observe — and trigger — lazy initialization in state
@@ -214,7 +217,7 @@ let rec compile_init (eng : t) (gi : Csrc.Ast.ginit) : Interp.state -> value =
           (Interp.new_obj st ~fn ~tracked:false
              (Cells (Array.of_list (List.map (fun ci -> ci st) citems))))
 
-(* Mirror of [Interp.init_global]. The base shape is static, so the
+(* Mirror of the reference walker's [init_global]. The base shape is static, so the
    designated-initializer-in-place vs replace-the-binding decision is
    taken at compile time. *)
 let compile_ginit (eng : t) (g : Csrc.Ast.global_def) : Interp.state -> value =
@@ -283,9 +286,9 @@ let compile_ginit (eng : t) (g : Csrc.Ast.global_def) : Interp.state -> value =
 (* Function invocation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of [Interp.call_function], including its depth accounting (no
-   unwind-protect: an escaping exception leaves the depth bumped there
-   too, and the two executors must drift identically). Parameter
+(* Mirror of the reference walker's function call, including its depth
+   accounting (no unwind-protect: an escaping exception leaves the depth
+   bumped there too, and the two executors must drift identically). Parameter
    binding is one simultaneous walk: extra arguments are dropped,
    missing parameters read as zero. Frames come from the state's
    {!Value.Pool} and return to it on normal completion; a frame lost to
@@ -349,8 +352,8 @@ and exec_fun_args (st : Interp.state) (fc : fun_code) (cargs : (jenv -> value) a
   st.Interp.depth <- st.Interp.depth + 1;
   exec_body st fc slots
 
-(** Call a compiled function by name: the {!Interp.call} of this
-    executor, with the same error on missing/bodyless functions. *)
+(** Call a compiled function by name, with the reference walker's error
+    on missing/bodyless functions. *)
 let call (eng : t) (st : Interp.state) (fname : string) (argv : value list) : value =
   match Stbl.find_opt eng.funs fname with
   | Some fc -> exec_fun st fc argv
@@ -496,7 +499,7 @@ let rec compile_expr (ctx : ctx) (e : Csrc.Ast.expr) : jenv -> value =
       fun env -> if truthy (cc env) then ct env else cf env
   | Csrc.Ast.Addr_of a ->
       (* &x evaluates x itself for every lvalue shape, like the
-         interpreter *)
+         reference walker *)
       compile_expr ctx a
   | Csrc.Ast.Deref a -> (
       let ca = compile_expr ctx a in
@@ -513,7 +516,7 @@ let rec compile_expr (ctx : ctx) (e : Csrc.Ast.expr) : jenv -> value =
       let c = vint (Int64.of_int (Csrc.Index.sizeof ctx.eng.index ty)) in
       fun _ -> c
 
-(* Mirror of [Interp.eval_lval] + [Interp.store], fused: the lvalue
+(* Mirror of the reference walker's [eval_lval] + [store], fused: the lvalue
    shape is static, so no intermediate [lvalue] value is built. The
    returned closure evaluates exactly what [eval_lval] would (index
    before base, same crashes), then performs the store. *)
@@ -528,7 +531,7 @@ and compile_store (ctx : ctx) (e : Csrc.Ast.expr) : jenv -> value -> unit =
         fun env v ->
           if env.slots.(i) != unbound then env.slots.(i) <- v
           else begin
-            (* the interpreter's lvalue probe forces the global's lazy
+            (* the reference walker's lvalue probe forces the global's lazy
                initialization (and its object allocations) before the
                store overwrites the binding — keep that order *)
             ignore (get_global_h eng env.st gh name);
@@ -646,7 +649,7 @@ and compile_call (ctx : ctx) (name : string) (args : Csrc.Ast.expr list) : jenv 
       | None -> vzero
     in
     (* constant-returning builtins never consult their context (the
-       tree walker's lazy callbacks mean it never evaluates their
+       reference walker's lazy callbacks mean it never evaluates their
        arguments either), so the whole call compiles to its constant *)
     match name with
     | "schedule_timeout" | "msleep" | "printk" | "pr_info" | "pr_err" | "pr_warn"
@@ -766,7 +769,7 @@ and compile_node (ctx : ctx) (node : Csrc.Ast.stmt_node) : jenv -> unit =
              static per type, measured once here on a scratch state), so
              the object-id stream — observable through pointer rendering
              and leak-bitmap sizing — is byte-identical to eager
-             execution, and the tree-walking engine needs no mirror. *)
+             execution, and the reference walker needs no mirror. *)
           let deferrable =
             fresh && ctx.ctop
             && ctx.clabels = []
@@ -931,7 +934,7 @@ and compile_node (ctx : ctx) (node : Csrc.Ast.stmt_node) : jenv -> unit =
   | Csrc.Ast.Continue -> fun _ -> raise Interp.Continue_exc
   | Csrc.Ast.Goto l -> (
       (* resolved against the top-level label table at compile time;
-         unknown labels keep the interpreter's exact error *)
+         unknown labels keep the reference walker's exact error *)
       match List.assoc_opt l ctx.clabels with
       | Some j ->
           let exn = Goto_idx j in

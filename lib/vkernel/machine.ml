@@ -6,8 +6,8 @@
     ground truth (the moral equivalent of actually booting the modules);
     everything else — handler dispatch, argument passing, crash
     detection — runs from the same mini-C sources that the analyses
-    under test read, either through the tree-walking {!Interp} or the
-    closure-compiled {!Jit} (the default; both are exact mirrors).
+    under test read, through the closure-compiled {!Jit} over the
+    {!Interp} runtime.
 
     Syscalls dispatch through a jump table (name resolved to an opcode
     once, handlers in a dense array), the UNIX trap-vector idiom, rather
@@ -182,9 +182,21 @@ let sink_reset (sk : cov_sink) : unit =
 (* Program execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Which executor runs handler bodies. Both are exact mirrors; [`Jit]
-    (the default) compiles each function to closures once per machine. *)
-type engine = [ `Jit | `Interp ]
+(** How handler bodies run: call a function by name, and resolve a
+    global (lazily initializing it) by precomputed hash and name.
+    Production always runs the JIT; {!exec_prog_with} lets a test run a
+    reference executor over the same runtime and compare. *)
+type executor = {
+  ex_call : t -> Interp.state -> string -> Value.value list -> Value.value;
+  ex_global : t -> Interp.state -> int -> string -> Value.value option;
+}
+
+(* Static, so the production path allocates no executor per program. *)
+let jit_executor : executor =
+  {
+    ex_call = (fun t st fname argv -> Jit.call (Lazy.force t.jit) st fname argv);
+    ex_global = (fun t st h name -> Jit.get_global_h (Lazy.force t.jit) st h name);
+  }
 
 type fd_entry = {
   fd_file : Value.obj;  (** the [struct file] (or [struct socket]) object *)
@@ -199,16 +211,16 @@ type run = {
   st : Interp.state;
   fds : (int, fd_entry) Hashtbl.t;
   mutable next_fd : int;
-  use_jit : bool;
+  exec : executor;
 }
 
 let errno v = Int64.neg (Int64.of_int v)
 
 (* Handler field names interned and hashed once: dispatch resolves fops
    globals and their function-pointer fields on every syscall, so the
-   string hashes are hoisted out of the hot path (for both engines),
-   and interning lets the field probe hit the pointer-compare fast path
-   against layout-built field names. *)
+   string hashes are hoisted out of the hot path, and interning lets the
+   field probe hit the pointer-compare fast path against layout-built
+   field names. *)
 let f_open = Value.intern "open"
 let f_release = Value.intern "release"
 let f_poll = Value.intern "poll"
@@ -231,14 +243,8 @@ let h_sendmsg = Value.Stbl.hash f_sendmsg
 let h_recvmsg = Value.Stbl.hash f_recvmsg
 
 let handler run ~(ops : string) ~(oh : int) (field : string) (fh : int) : string option =
-  (* the fops global initializes lazily on first touch; each engine
-     runs its own initializer form (compiled plan vs AST walk), which
-     produce identical objects in identical order *)
-  let fops =
-    if run.use_jit then Jit.get_global_h (Lazy.force run.machine.jit) run.st oh ops
-    else Interp.get_global_h run.st oh ops
-  in
-  match fops with
+  (* the fops global initializes lazily on first touch *)
+  match run.exec.ex_global run.machine run.st oh ops with
   | Some v -> (
       match Value.view v with
       | Value.Ptr o -> (
@@ -252,9 +258,7 @@ let call_handler run ~ops ~oh field fh args ~(default : int64) : int64 =
   match handler run ~ops ~oh field fh with
   | None -> default
   | Some fname ->
-      Value.to_int
-        (if run.use_jit then Jit.call (Lazy.force run.machine.jit) run.st fname args
-         else Interp.call run.st fname args)
+      Value.to_int (run.exec.ex_call run.machine run.st fname args)
 
 let resolve_fd run (retvals : int64 array) (a : parg) : fd_entry option * int64 =
   match a with
@@ -582,16 +586,14 @@ let exec_call (run : run) (retvals : int64 array) (c : call) : int64 =
   | None -> errno 38 (* ENOSYS *)
 
 (** Execute a whole program against a fresh kernel state. *)
-let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink option)
+let exec_prog_core ~(step_budget : int) ~(exec : executor) ~(sink : cov_sink option)
     (t : t) (prog : prog) : exec_result =
   let on_cover = match sink with Some sk -> Some sk.cs_hook | None -> None in
   let st =
     Interp.create ~index:t.index ~layouts:t.layouts ~frames:t.frames ~step_budget
       ?on_cover ()
   in
-  let run =
-    { machine = t; st; fds = Hashtbl.create 8; next_fd = 3; use_jit = engine = `Jit }
-  in
+  let run = { machine = t; st; fds = Hashtbl.create 8; next_fd = 3; exec } in
   st.Interp.spawn_fd <-
     Some
       (fun ops_global ->
@@ -680,14 +682,19 @@ let exec_prog_core ~(step_budget : int) ~(engine : engine) ~(sink : cov_sink opt
   in
   { retvals; crash = !crash; coverage; timed_out = !timed_out }
 
-let exec_prog ?(step_budget = 200_000) ?(engine : engine = `Jit) (t : t) (prog : prog) :
-    exec_result =
-  exec_prog_core ~step_budget ~engine ~sink:None t prog
+let exec_prog ?(step_budget = 200_000) (t : t) (prog : prog) : exec_result =
+  exec_prog_core ~step_budget ~exec:jit_executor ~sink:None t prog
 
 (** Like {!exec_prog}, but coverage lands in [sink] (bitmap + touched
     list) instead of the result's [coverage] list, which comes back
     empty. The caller reads the sink and {!sink_reset}s it before the
     next execution. *)
-let exec_prog_sink ?(step_budget = 200_000) ?(engine : engine = `Jit) ~(sink : cov_sink)
-    (t : t) (prog : prog) : exec_result =
-  exec_prog_core ~step_budget ~engine ~sink:(Some sink) t prog
+let exec_prog_sink ?(step_budget = 200_000) ~(sink : cov_sink) (t : t) (prog : prog) :
+    exec_result =
+  exec_prog_core ~step_budget ~exec:jit_executor ~sink:(Some sink) t prog
+
+(** {!exec_prog} with handler bodies run by [executor] instead of the
+    JIT: the seam for differential tests against a reference executor. *)
+let exec_prog_with ?(step_budget = 200_000) ~(executor : executor) (t : t) (prog : prog) :
+    exec_result =
+  exec_prog_core ~step_budget ~exec:executor ~sink:None t prog

@@ -4,10 +4,10 @@
     This is the stand-in for the paper's QEMU/KCOV fuzzing target.
     Device paths and socket triples come from the registry's ground
     truth (the moral equivalent of booting the modules); everything else
-    runs from the same mini-C sources the analyses read, through either
-    the tree-walking {!Interp} or the closure-compiled {!Jit} executor
-    (the default — both are exact mirrors). Syscall names resolve
-    through a jump table rather than a per-call string match. *)
+    runs from the same mini-C sources the analyses read, through the
+    closure-compiled {!Jit} executor over the {!Interp} runtime. Syscall
+    names resolve through a jump table rather than a per-call string
+    match. *)
 
 (** One syscall argument as the fuzzer passes it. *)
 type parg =
@@ -63,11 +63,15 @@ val boot : Corpus.Types.entry list -> t
 (** Which module a covered statement belongs to. *)
 val module_of_sid : t -> int -> string option
 
-(** Which executor runs handler bodies. Both are exact semantic mirrors
-    — identical coverage, crashes, and return values; [`Jit] (the
-    default) compiles each function body to closures once per machine
-    instead of re-walking the AST per execution. *)
-type engine = [ `Jit | `Interp ]
+(** How handler bodies run: call a function by name, and resolve a
+    global (lazily initializing it) by precomputed {!Value.Stbl.hash}
+    and name. {!exec_prog} and {!exec_prog_sink} always run the
+    {!Jit}; only {!exec_prog_with} takes another executor, so tests can
+    compare the JIT against a reference over the same runtime. *)
+type executor = {
+  ex_call : t -> Interp.state -> string -> Value.value list -> Value.value;
+  ex_global : t -> Interp.state -> int -> string -> Value.value option;
+}
 
 (** Reusable per-campaign coverage collector: a bitmap over statement
     ids plus the list of sids touched by the current execution
@@ -88,11 +92,14 @@ val sink_reset : cov_sink -> unit
 (** Execute a program against a fresh kernel state: run each call, close
     remaining file descriptors at exit (release handlers may crash), and
     run the kmemleak-style reachability scan. Deterministic. *)
-val exec_prog : ?step_budget:int -> ?engine:engine -> t -> prog -> exec_result
+val exec_prog : ?step_budget:int -> t -> prog -> exec_result
 
 (** Like {!exec_prog}, but statement coverage lands in [sink] instead of
     the result's [coverage] list (which comes back empty): the campaign
     hot loop reads [sink.cs_buf] and {!sink_reset}s it, touching no
     per-execution allocations. *)
-val exec_prog_sink :
-  ?step_budget:int -> ?engine:engine -> sink:cov_sink -> t -> prog -> exec_result
+val exec_prog_sink : ?step_budget:int -> sink:cov_sink -> t -> prog -> exec_result
+
+(** {!exec_prog} with handler bodies run by [executor] instead of the
+    JIT. *)
+val exec_prog_with : ?step_budget:int -> executor:executor -> t -> prog -> exec_result

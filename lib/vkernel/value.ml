@@ -273,7 +273,7 @@ include Repr
 
 (** Index of [name] in a typed object's layout, or -1. Layout names are
     interned, so probes with interned names resolve on the pointer
-    compare; tree-walker probes (raw AST strings) fall through to the
+    compare; probes with raw AST strings fall through to the
     content compare in the same pass. *)
 let tindex (tf : tfields) (name : string) : int =
   let names = tf.tnames in
@@ -350,7 +350,7 @@ let to_int (v : value) : int64 =
     | B_str _ | B_ptr _ | B_fn _ | B_uptr _ -> 1L
     | B_unit () | B_unbound () -> 0L
 
-(* Unary arithmetic, shared by both engines so their fast paths cannot
+(* Unary arithmetic, shared by every executor so their fast paths cannot
    drift: negation must box exactly when the operand is the 63-bit
    minimum (whose negation needs the 64th... 63rd bit of magnitude);
    bitwise-not of a sign-extended immediate is itself sign-extended, so

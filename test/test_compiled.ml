@@ -1,9 +1,10 @@
-(* Differential tests for the compiled spec/execution pipeline: the
-   compiled engine (lowered generation plans + JIT-closured handler
-   bodies + bitmap coverage sink) must be byte-identical to the
-   interpreted baseline — same programs, same RNG stream, same coverage
-   sets, same crash tables — plus regressions for the generator range,
-   bytesize, and push-order bugfixes that shipped with it. *)
+(* Differential tests for the execution pipeline: the JIT-closured
+   handler bodies must agree with the reference tree-walker ({!Walker},
+   test-only) on every generated, mutated and campaign-kept program —
+   same return values, crash, coverage set and timeout — and the
+   bitmap coverage sink must agree with the plain coverage list. Plus
+   regressions for the generator range, bytesize, and push-order
+   bugfixes. *)
 
 let dm_ctx =
   lazy
@@ -15,14 +16,7 @@ let dm_ctx =
      let spec = Syzlang.Validate.resolve_spec ~kernel spec in
      (machine, spec))
 
-(* a random generated driver with a validating KernelGPT spec, or None
-   when the pipeline declines this seed *)
-let ctx_of_seed seed =
-  let entry =
-    List.hd
-      (Corpus.Gen.population ~seed ~n_drivers:1 ~loaded_drivers:1 ~n_sockets:0
-         ~loaded_sockets:0 ())
-  in
+let ctx_of_entry entry =
   let machine = Vkernel.Machine.boot [ entry ] in
   let kernel = machine.Vkernel.Machine.index in
   let oracle = Oracle.create ~profile:Profile.gpt4 ~knowledge:kernel () in
@@ -31,63 +25,72 @@ let ctx_of_seed seed =
       Some (machine, Syzlang.Validate.resolve_spec ~kernel spec)
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Generation: compiled plans vs per-call type walks                   *)
-(* ------------------------------------------------------------------ *)
+(* a random generated driver with a validating KernelGPT spec, or None
+   when the pipeline declines this seed *)
+let ctx_of_seed seed =
+  ctx_of_entry
+    (List.hd
+       (Corpus.Gen.population ~seed ~n_drivers:1 ~loaded_drivers:1 ~n_sockets:0
+          ~loaded_sockets:0 ()))
 
-let qcheck_generate_differential =
-  let _, spec = Lazy.force dm_ctx in
-  let tc = Fuzzer.Proggen.prepare ~compiled:true spec in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
-  QCheck.Test.make ~name:"compiled and interpreted generation are identical" ~count:100
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rc = Fuzzer.Rng.make seed and ri = Fuzzer.Rng.make seed in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        let pc = Fuzzer.Proggen.generate tc rc () in
-        let pi = Fuzzer.Proggen.generate ti ri () in
-        if pc <> pi then ok := false
-      done;
-      (* the RNG streams must stay in lockstep, not just the outputs *)
-      !ok && Fuzzer.Rng.next_int64 rc = Fuzzer.Rng.next_int64 ri)
-
-let qcheck_mutate_differential =
-  let _, spec = Lazy.force dm_ctx in
-  let tc = Fuzzer.Proggen.prepare ~compiled:true spec in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
-  QCheck.Test.make ~name:"compiled and interpreted mutation are identical" ~count:60
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rc = Fuzzer.Rng.make seed and ri = Fuzzer.Rng.make seed in
-      let pc = ref (Fuzzer.Proggen.generate tc rc ()) in
-      let pi = ref (Fuzzer.Proggen.generate ti ri ()) in
-      let ok = ref (!pc = !pi) in
-      for _ = 1 to 30 do
-        pc := Fuzzer.Mutator.mutate tc rc !pc;
-        pi := Fuzzer.Mutator.mutate ti ri !pi;
-        if !pc <> !pi then ok := false
-      done;
-      !ok && Fuzzer.Rng.next_int64 rc = Fuzzer.Rng.next_int64 ri)
+(* the executor stress driver (Registry.extras): goto loops, arity
+   mismatches, shadowing and implicit locals *)
+let stress_ctx =
+  lazy
+    (match Corpus.Registry.extras with
+    | [ entry ] -> Option.get (ctx_of_entry entry)
+    | _ -> Alcotest.fail "expected exactly the stress module in Registry.extras")
 
 (* ------------------------------------------------------------------ *)
-(* Execution: JIT closures vs AST interpreter, sink vs hashtable       *)
+(* Execution: JIT closures vs the reference tree-walker                *)
 (* ------------------------------------------------------------------ *)
 
 let sorted_result (r : Vkernel.Machine.exec_result) =
   (r.retvals, r.crash, List.sort compare r.coverage, r.timed_out)
 
-let qcheck_exec_differential =
-  let machine, spec = Lazy.force dm_ctx in
+(* both executors agree on one program, under the given step budget *)
+let agrees ?step_budget machine prog =
+  sorted_result (Vkernel.Machine.exec_prog ?step_budget machine prog)
+  = sorted_result (Walker.exec_prog ?step_budget machine prog)
+
+(* Fresh programs from [Proggen.generate], each chained through
+   [Mutator.apply] round-robin over the whole operator ensemble (splice
+   partners are the other fresh programs), every link run on both
+   executors. *)
+let programs_agree machine spec seed =
   let t = Fuzzer.Proggen.prepare spec in
-  QCheck.Test.make ~name:"JIT and interpreter execute programs identically" ~count:60
+  let r = Fuzzer.Rng.make seed in
+  let partner = Fuzzer.Proggen.generate t r () in
+  let prog = ref (Fuzzer.Proggen.generate t r ()) in
+  let ok = ref (agrees machine partner && agrees machine !prog) in
+  Array.iter
+    (fun op ->
+      prog := Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) !prog;
+      if not (agrees machine !prog) then ok := false)
+    Fuzzer.Mutator.all;
+  !ok
+
+let qcheck_exec_differential =
+  QCheck.Test.make ~name:"JIT and interpreter execute programs identically" ~count:40
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let r = Fuzzer.Rng.make seed in
-      let prog = Fuzzer.Proggen.generate t r () in
-      let a = Vkernel.Machine.exec_prog ~engine:`Jit machine prog in
-      let b = Vkernel.Machine.exec_prog ~engine:`Interp machine prog in
-      sorted_result a = sorted_result b)
+      let machine, spec = Lazy.force dm_ctx in
+      programs_agree machine spec seed)
+
+let qcheck_exec_differential_stress =
+  QCheck.Test.make ~name:"JIT and interpreter agree on the stress module" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let machine, spec = Lazy.force stress_ctx in
+      programs_agree machine spec seed)
+
+let qcheck_exec_differential_random_specs =
+  QCheck.Test.make ~name:"JIT and interpreter agree on random pipeline specs" ~count:8
+    QCheck.(int_bound 5000)
+    (fun seed ->
+      match ctx_of_seed seed with
+      | None -> true
+      | Some (machine, spec) -> programs_agree machine spec seed)
 
 let test_sink_matches_coverage () =
   let machine, spec = Lazy.force dm_ctx in
@@ -113,35 +116,36 @@ let test_sink_matches_coverage () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Whole campaigns                                                     *)
+(* Whole campaigns: replay what a campaign kept on both executors      *)
 (* ------------------------------------------------------------------ *)
 
-let campaign_fingerprint (res : Fuzzer.Campaign.result) =
-  let cov = Hashtbl.fold (fun sid () acc -> sid :: acc) res.coverage [] in
-  let crashes =
-    Hashtbl.fold (fun title prog acc -> (title, prog) :: acc) res.crashes []
-  in
-  ( res.executions,
-    List.sort compare cov,
-    List.sort compare crashes,
-    res.corpus_size,
-    res.corpus_evictions )
+(* Re-execute every corpus program and crash reproducer of a finished
+   campaign under its own step budget: both executors must agree, and
+   each reproducer must still raise the title it was filed under. *)
+let campaign_replays ?max_corpus ~seed ~budget machine spec =
+  let c = Fuzzer.Campaign.init ~seed ~budget ?max_corpus ~machine spec in
+  ignore (Fuzzer.Campaign.drive c);
+  let snap = Fuzzer.Campaign.snapshot c in
+  let step_budget = snap.Fuzzer.Checkpoint.step_budget in
+  List.for_all (fun (p, _, _) -> agrees ~step_budget machine p) snap.corpus
+  && List.for_all
+       (fun (title, p, _) ->
+         agrees ~step_budget machine p
+         &&
+         match (Vkernel.Machine.exec_prog ~step_budget machine p).crash with
+         | Some cr -> cr.cr_title = title
+         | None -> false)
+       snap.crashes
 
 let test_campaign_differential () =
   let machine, spec = Lazy.force dm_ctx in
-  let run engine = Fuzzer.Campaign.run ~seed:5 ~budget:2000 ~engine ~machine spec in
-  Alcotest.(check bool) "compiled campaign = interpreted campaign" true
-    (campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-    = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
+  Alcotest.(check bool) "corpus and reproducers agree" true
+    (campaign_replays ~seed:5 ~budget:2000 machine spec)
 
 let test_campaign_differential_under_eviction () =
   let machine, spec = Lazy.force dm_ctx in
-  let run engine =
-    Fuzzer.Campaign.run ~seed:9 ~budget:1500 ~max_corpus:4 ~engine ~machine spec
-  in
-  Alcotest.(check bool) "identical with a saturated corpus ring" true
-    (campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-    = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
+  Alcotest.(check bool) "agree with a saturated corpus ring" true
+    (campaign_replays ~seed:9 ~budget:1500 ~max_corpus:4 machine spec)
 
 let qcheck_campaign_differential_random_specs =
   QCheck.Test.make ~name:"campaigns agree on random pipeline specs" ~count:8
@@ -149,12 +153,7 @@ let qcheck_campaign_differential_random_specs =
     (fun seed ->
       match ctx_of_seed seed with
       | None -> true
-      | Some (machine, spec) ->
-          let run engine =
-            Fuzzer.Campaign.run ~seed ~budget:400 ~engine ~machine spec
-          in
-          campaign_fingerprint (run Fuzzer.Campaign.Compiled)
-          = campaign_fingerprint (run Fuzzer.Campaign.Interpreted))
+      | Some (machine, spec) -> campaign_replays ~seed ~budget:400 machine spec)
 
 (* ------------------------------------------------------------------ *)
 (* Bugfix regressions                                                  *)
@@ -220,19 +219,17 @@ t_struct {
 ioctl$X(fd fd_t, cmd const[1], arg ptr[in, t_struct])
 |}
   in
-  List.iter
-    (fun compiled ->
-      let t = Fuzzer.Proggen.prepare ~compiled spec in
-      let r = Fuzzer.Rng.make 5 in
-      for _ = 1 to 50 do
-        match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "t_struct") with
-        | Vkernel.Value.U_struct (_, fields) ->
-            Alcotest.(check bool) "bytesize = 4 * len" true
-              (List.assoc "nbytes" fields = Vkernel.Value.U_int 16L
-              && List.assoc "nelems" fields = Vkernel.Value.U_int 4L)
-        | _ -> Alcotest.fail "expected a struct"
-      done)
-    [ true; false ]
+  let t = Fuzzer.Proggen.prepare spec in
+  let r = Fuzzer.Rng.make 5 in
+  for _ = 1 to 50 do
+    (* t_struct is the spec's only composite, so plan entry 0 *)
+    match Fuzzer.Proggen.uval_of_gen t r ~depth:0 (Fuzzer.Compiled.G_comp 0) with
+    | Vkernel.Value.U_struct (_, fields) ->
+        Alcotest.(check bool) "bytesize = 4 * len" true
+          (List.assoc "nbytes" fields = Vkernel.Value.U_int 16L
+          && List.assoc "nelems" fields = Vkernel.Value.U_int 4L)
+    | _ -> Alcotest.fail "expected a struct"
+  done
 
 let test_push_call_linear_order () =
   (* push_call accumulates reversed with an explicit count; pushing the
@@ -273,18 +270,18 @@ let test_push_call_linear_order () =
 
 (* ------------------------------------------------------------------ *)
 (* Fast paths: slot-allocated locals, value-level builtins, compiled   *)
-(* global init — dual-engine parity at the function-call level         *)
+(* global init — JIT/reference parity at the function-call level       *)
 (* ------------------------------------------------------------------ *)
 
-(* one index, one state per engine: the tree walker and the closure
-   compiler each lower the same source independently *)
+(* one index, one state per executor: the reference walker and the
+   closure compiler each lower the same source independently *)
 let dual_of src =
   let sid = ref 0 in
   let idx = Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"t.c" src) in
   let sti = Vkernel.Interp.create ~index:idx () in
   let stj = Vkernel.Interp.create ~index:idx () in
   let eng = Vkernel.Jit.of_index idx in
-  let interp ?(args = []) fn = Vkernel.Interp.call sti fn args in
+  let interp ?(args = []) fn = Walker.call sti fn args in
   let jit ?(args = []) fn = Vkernel.Jit.call eng stj fn args in
   (interp, jit)
 
@@ -362,7 +359,7 @@ static long f(long x)
   let mi = msg interp and mj = msg jit in
   Alcotest.(check string) "same error text" mi mj;
   Alcotest.(check string) "expected message" "f: unknown label missing" mi;
-  (* the goto is dead when x = 0: neither engine fails early *)
+  (* the goto is dead when x = 0: neither executor fails early *)
   check_both "unreached goto is not an error" 1L interp jit "f" [ 0L ]
 
 let test_slot_edge_cases () =
@@ -412,7 +409,7 @@ static long implicit(long x)
 let test_global_init_parity () =
   (* compiled global initializers: scalars, partial array init,
      designated struct init with a nested array, and an address-of
-     chain. Oids must come out identical because both engines must
+     chain. Oids must come out identical because both executors must
      allocate the same objects in the same order. *)
   let src =
     {|
@@ -441,7 +438,7 @@ static long probe(void)
   let eng = Vkernel.Jit.of_index idx in
   List.iter
     (fun g ->
-      let vi = Option.get (Vkernel.Interp.get_global sti g) in
+      let vi = Option.get (Walker.get_global sti g) in
       let vj = Option.get (Vkernel.Jit.get_global eng stj g) in
       Alcotest.(check string)
         (g ^ " prints identically (oids included)")
@@ -449,7 +446,7 @@ static long probe(void)
     [ "g_scalar"; "g_arr"; "g_cfg"; "g_ptr" ]
 
 let qcheck_builtin_value_core_parity =
-  (* the interpreter reaches builtins through the expression-level
+  (* the reference walker reaches builtins through the expression-level
      wrapper, the jit through per-callsite argument closures over the
      value-level core: both must see the same argument views, stores
      and results *)
@@ -481,7 +478,7 @@ let test_integer_edge_semantics () =
   (* pins for the tagged value representation: every arithmetic edge
      where a result or operand crosses the fixnum/boxed boundary must
      keep exact 64-bit two's-complement semantics, identically in both
-     engines *)
+     executors *)
   let interp, jit =
     dual_of
       {|
@@ -561,14 +558,11 @@ let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "compiled"
     [
-      ( "generation",
-        [
-          QCheck_alcotest.to_alcotest qcheck_generate_differential;
-          QCheck_alcotest.to_alcotest qcheck_mutate_differential;
-        ] );
       ( "execution",
         [
           QCheck_alcotest.to_alcotest qcheck_exec_differential;
+          QCheck_alcotest.to_alcotest qcheck_exec_differential_stress;
+          QCheck_alcotest.to_alcotest qcheck_exec_differential_random_specs;
           t "sink matches coverage" test_sink_matches_coverage;
         ] );
       ( "campaign",

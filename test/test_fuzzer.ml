@@ -57,6 +57,15 @@ let test_generate_nonempty () =
     Alcotest.(check bool) "non-empty" true (Fuzzer.Proggen.generate t r () <> [])
   done
 
+(* every user payload ([P_data]) of [n] programs generated from [t] *)
+let payloads (t : Fuzzer.Proggen.t) (r : Fuzzer.Rng.t) ~n : Vkernel.Value.uval list =
+  List.concat_map
+    (fun (c : Vkernel.Machine.call) ->
+      List.filter_map
+        (function Vkernel.Machine.P_data uv -> Some uv | _ -> None)
+        c.Vkernel.Machine.c_args)
+    (List.concat (List.init n (fun _ -> Fuzzer.Proggen.generate t r ())))
+
 let test_len_fields_computed () =
   let spec =
     Syzlang.Parser.parse_spec ~name:"t"
@@ -69,16 +78,17 @@ ioctl$X(fd fd_t, cmd const[1], arg ptr[in, t_struct])
 |}
   in
   let t = Fuzzer.Proggen.prepare spec in
-  let r = Fuzzer.Rng.make 5 in
-  for _ = 1 to 50 do
-    match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "t_struct") with
-    | Vkernel.Value.U_struct (_, fields) -> (
-        match (List.assoc "count" fields, List.assoc "items" fields) with
-        | Vkernel.Value.U_int n, Vkernel.Value.U_arr xs ->
-            Alcotest.(check int64) "count matches items" (Int64.of_int (List.length xs)) n
-        | _ -> Alcotest.fail "unexpected field shapes")
-    | _ -> Alcotest.fail "expected a struct"
-  done
+  let structs = payloads t (Fuzzer.Rng.make 5) ~n:30 in
+  Alcotest.(check bool) "payloads generated" true (List.length structs > 30);
+  List.iter
+    (function
+      | Vkernel.Value.U_struct (_, fields) -> (
+          match (List.assoc "count" fields, List.assoc "items" fields) with
+          | Vkernel.Value.U_int n, Vkernel.Value.U_arr xs ->
+              Alcotest.(check int64) "count matches items" (Int64.of_int (List.length xs)) n
+          | _ -> Alcotest.fail "unexpected field shapes")
+      | _ -> Alcotest.fail "expected a struct")
+    structs
 
 let test_flags_use_set_values () =
   let spec =
@@ -89,14 +99,15 @@ ioctl$X(fd fd_t, cmd const[1], arg ptr[in, flags[vals, int32]])
 |}
   in
   let t = Fuzzer.Proggen.prepare spec in
-  let r = Fuzzer.Rng.make 6 in
-  let hits = ref 0 in
-  for _ = 1 to 200 do
-    match Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Flags ("vals", Syzlang.Ast.I32)) with
-    | Vkernel.Value.U_int v when v = 224L || v = 1L -> incr hits
-    | _ -> ()
-  done;
-  Alcotest.(check bool) "mostly the valid values" true (!hits > 100)
+  let flags = payloads t (Fuzzer.Rng.make 6) ~n:100 in
+  let hits =
+    List.length
+      (List.filter
+         (fun uv -> uv = Vkernel.Value.U_int 224L || uv = Vkernel.Value.U_int 1L)
+         flags)
+  in
+  Alcotest.(check bool) "enough payloads" true (List.length flags > 100);
+  Alcotest.(check bool) "mostly the valid values" true (2 * hits > List.length flags)
 
 let test_mutation_preserves_wellformedness () =
   let _, spec = Lazy.force dm_ctx in
@@ -141,31 +152,27 @@ let qcheck_mutation_dependency_invariant =
         match c.Syzlang.Ast.ret with Some _ -> Some c.Syzlang.Ast.call_name | None -> None)
       spec.Syzlang.Ast.syscalls
   in
-  QCheck.Test.make
-    ~name:"mutation chains keep P_result at a backward producer (both engines)" ~count:60
+  QCheck.Test.make ~name:"mutation chains keep P_result at a backward producer" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      List.for_all
-        (fun compiled ->
-          let t = Fuzzer.Proggen.prepare ~compiled spec in
-          let r = Fuzzer.Rng.make seed in
-          let partner = Fuzzer.Proggen.generate t r () in
-          let prog = ref (Fuzzer.Proggen.generate t r ()) in
-          let ok =
-            ref
-              (dependency_invariant ~producer_names partner
-              && dependency_invariant ~producer_names !prog)
-          in
-          let n_ops = Array.length Fuzzer.Mutator.all in
-          (* round-robin over the ensemble so every operator — splice and
-             insert-dependent included — is exercised on every run *)
-          for i = 0 to (4 * n_ops) - 1 do
-            let op = Fuzzer.Mutator.all.(i mod n_ops) in
-            prog := Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) !prog;
-            if not (dependency_invariant ~producer_names !prog) then ok := false
-          done;
-          !ok)
-        [ true; false ])
+      let t = Fuzzer.Proggen.prepare spec in
+      let r = Fuzzer.Rng.make seed in
+      let partner = Fuzzer.Proggen.generate t r () in
+      let prog = ref (Fuzzer.Proggen.generate t r ()) in
+      let ok =
+        ref
+          (dependency_invariant ~producer_names partner
+          && dependency_invariant ~producer_names !prog)
+      in
+      let n_ops = Array.length Fuzzer.Mutator.all in
+      (* round-robin over the ensemble so every operator — splice and
+         insert-dependent included — is exercised on every run *)
+      for i = 0 to (4 * n_ops) - 1 do
+        let op = Fuzzer.Mutator.all.(i mod n_ops) in
+        prog := Fuzzer.Mutator.apply t r op ~partner:(fun () -> partner) !prog;
+        if not (dependency_invariant ~producer_names !prog) then ok := false
+      done;
+      !ok)
 
 (* The association-list [insert_dependent] that the dense-table operator
    replaced, kept as a reference: latest producers are found by
@@ -331,9 +338,9 @@ let test_swap_remaps_later_refs () =
   done
 
 let test_empty_union_degrades () =
-  (* a degenerate spec with a fieldless union must degrade to a zero
-     value — identically, and without a draw — on both engines, instead
-     of raising out of the compiled path only *)
+  (* a degenerate spec with a fieldless union compiles to a zero plan:
+     its payload is the zero value, drawn without touching the RNG, and
+     generation never raises on it *)
   let open Syzlang.Ast in
   let spec =
     {
@@ -354,27 +361,20 @@ let test_empty_union_degrades () =
         ];
     }
   in
-  let ti = Fuzzer.Proggen.prepare ~compiled:false spec in
-  let r = Fuzzer.Rng.make 7 in
-  Alcotest.(check bool) "degrades to zero" true
-    (Fuzzer.Proggen.uval_of_typ ti r ~depth:0 (Union_ref "u") = Vkernel.Value.U_int 0L);
-  Alcotest.(check int64) "no draw consumed"
-    (Fuzzer.Rng.next_int64 (Fuzzer.Rng.make 7))
-    (Fuzzer.Rng.next_int64 r);
-  let runs =
-    List.map
-      (fun compiled ->
-        let t = Fuzzer.Proggen.prepare ~compiled spec in
-        let r = Fuzzer.Rng.make 3 in
-        let ps = List.init 20 (fun _ -> Fuzzer.Proggen.generate t r ()) in
-        (ps, Fuzzer.Rng.next_int64 r))
-      [ true; false ]
-  in
-  match runs with
-  | [ (pc, wc); (pi, wi) ] ->
-      Alcotest.(check bool) "engines generate identically" true (pc = pi);
-      Alcotest.(check int64) "RNG streams in lockstep" wc wi
-  | _ -> assert false
+  let t = Fuzzer.Proggen.prepare spec in
+  match t.Fuzzer.Proggen.plan.Fuzzer.Compiled.plans.(0).Fuzzer.Compiled.sp_args with
+  | [| Fuzzer.Compiled.A_const 1L; Fuzzer.Compiled.A_ptr g |] ->
+      Alcotest.(check bool) "union compiles to G_zero" true (g = Fuzzer.Compiled.G_zero);
+      let r = Fuzzer.Rng.make 7 in
+      Alcotest.(check bool) "degrades to zero" true
+        (Fuzzer.Proggen.uval_of_gen t r ~depth:0 g = Vkernel.Value.U_int 0L);
+      Alcotest.(check int64) "no draw consumed"
+        (Fuzzer.Rng.next_int64 (Fuzzer.Rng.make 7))
+        (Fuzzer.Rng.next_int64 r);
+      let r = Fuzzer.Rng.make 3 in
+      Alcotest.(check int) "generation succeeds" 20
+        (List.length (List.init 20 (fun _ -> Fuzzer.Proggen.generate t r ())))
+  | _ -> Alcotest.fail "unexpected argument plans"
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
@@ -501,15 +501,13 @@ let qcheck_uval_depth_bounded =
   QCheck.Test.make ~name:"generated user values have bounded depth" ~count:200
     QCheck.(int_bound 100000)
     (fun seed ->
-      let r = Fuzzer.Rng.make seed in
       let rec depth = function
         | Vkernel.Value.U_struct (_, fs) ->
             1 + List.fold_left (fun a (_, v) -> max a (depth v)) 0 fs
         | Vkernel.Value.U_arr xs -> 1 + List.fold_left (fun a v -> max a (depth v)) 0 xs
         | _ -> 0
       in
-      let uv = Fuzzer.Proggen.uval_of_typ t r ~depth:0 (Syzlang.Ast.Struct_ref "dm_ioctl") in
-      depth uv <= 10)
+      List.for_all (fun uv -> depth uv <= 10) (payloads t (Fuzzer.Rng.make seed) ~n:2))
 
 let test_repro_minimize () =
   let machine, spec = Lazy.force dm_ctx in

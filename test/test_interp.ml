@@ -1,19 +1,36 @@
-(* Focused interpreter tests over synthetic functions: control flow,
-   crash detectors, heap modeling. *)
+(* Focused executor tests over synthetic functions: control flow,
+   crash detectors, heap modeling. Every case runs twice, on the
+   production JIT and on the reference tree-walker, each over its own
+   state of one index. *)
 
-let state_of src =
+type runner = ?args:Vkernel.Value.value list -> string -> Vkernel.Value.value
+
+let executors_of src : (string * runner) list =
   let sid = ref 0 in
   let idx = Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"t.c" src) in
-  Vkernel.Interp.create ~index:idx ()
+  let stj = Vkernel.Interp.create ~index:idx () in
+  let stw = Vkernel.Interp.create ~index:idx () in
+  let eng = Vkernel.Jit.of_index idx in
+  [
+    ("jit", fun ?(args = []) fn -> Vkernel.Jit.call eng stj fn args);
+    ("walker", fun ?(args = []) fn -> Walker.call stw fn args);
+  ]
 
-let call ?(args = []) st fn = Vkernel.Interp.call st fn args
+(* run [f] against each executor; a failure names the executor *)
+let each src (f : runner -> unit) =
+  List.iter
+    (fun (name, call) ->
+      try f call
+      with e ->
+        prerr_endline ("failing executor: " ^ name);
+        raise e)
+    (executors_of src)
 
 let int_of v = Vkernel.Value.to_int v
 
 let test_switch_fallthrough () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(int x)
 {
   int acc;
@@ -33,17 +50,16 @@ static int f(int x)
   return acc;
 }
 |}
-  in
-  let run x = int_of (call ~args:[ Vkernel.Value.vint x ] st "f") in
+  @@ fun call ->
+  let run x = int_of (call ~args:[ Vkernel.Value.vint x ] "f") in
   Alcotest.(check int64) "case 1 falls through" 11L (run 1L);
   Alcotest.(check int64) "case 2" 10L (run 2L);
   Alcotest.(check int64) "case 3" 100L (run 3L);
   Alcotest.(check int64) "default" 1000L (run 9L)
 
 let test_goto_forward () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(int x)
 {
   int r;
@@ -55,16 +71,15 @@ out:
   return r;
 }
 |}
-  in
+  @@ fun call ->
   Alcotest.(check int64) "skips on goto" 1L
-    (int_of (call ~args:[ Vkernel.Value.vint (-1L) ] st "f"));
+    (int_of (call ~args:[ Vkernel.Value.vint (-1L) ] "f"));
   Alcotest.(check int64) "falls through" 2L
-    (int_of (call ~args:[ Vkernel.Value.vint 1L ] st "f"))
+    (int_of (call ~args:[ Vkernel.Value.vint 1L ] "f"))
 
 let test_while_and_break () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(void)
 {
   int i;
@@ -84,14 +99,13 @@ static int f(void)
   return sum;
 }
 |}
-  in
+  @@ fun call ->
   (* 0+1+2+4+5+6+7+8+9 = 42 *)
-  Alcotest.(check int64) "loop with break/continue" 42L (int_of (call st "f"))
+  Alcotest.(check int64) "loop with break/continue" 42L (int_of (call "f"))
 
 let test_do_while () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(void)
 {
   int i;
@@ -102,13 +116,12 @@ static int f(void)
   return i;
 }
 |}
-  in
-  Alcotest.(check int64) "do-while" 5L (int_of (call st "f"))
+  @@ fun call ->
+  Alcotest.(check int64) "do-while" 5L (int_of (call "f"))
 
 let test_recursion () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int fact(int n)
 {
   if (n <= 1)
@@ -116,13 +129,12 @@ static int fact(int n)
   return n * fact(n - 1);
 }
 |}
-  in
-  Alcotest.(check int64) "factorial" 120L (int_of (call ~args:[ Vkernel.Value.vint 5L ] st "fact"))
+  @@ fun call ->
+  Alcotest.(check int64) "factorial" 120L (int_of (call ~args:[ Vkernel.Value.vint 5L ] "fact"))
 
 let test_global_array_state () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int slots[4];
 
 static int put(int i, int v)
@@ -138,12 +150,12 @@ static int get(int i)
   return slots[i];
 }
 |}
-  in
-  ignore (call ~args:[ Vkernel.Value.vint 2L; Vkernel.Value.vint 77L ] st "put");
+  @@ fun call ->
+  ignore (call ~args:[ Vkernel.Value.vint 2L; Vkernel.Value.vint 77L ] "put");
   Alcotest.(check int64) "array persists" 77L
-    (int_of (call ~args:[ Vkernel.Value.vint 2L ] st "get"));
+    (int_of (call ~args:[ Vkernel.Value.vint 2L ] "get"));
   Alcotest.(check int64) "bounds enforced by guard" (-22L)
-    (int_of (call ~args:[ Vkernel.Value.vint 9L; Vkernel.Value.vint 1L ] st "put"))
+    (int_of (call ~args:[ Vkernel.Value.vint 9L; Vkernel.Value.vint 1L ] "put"))
 
 let expect_crash title f =
   match f () with
@@ -152,9 +164,8 @@ let expect_crash title f =
       Alcotest.(check string) "crash title" title (Vkernel.Crash.title c)
 
 let test_uaf_crash () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 struct box { int v; };
 static struct box *stash;
 
@@ -170,14 +181,13 @@ static int use_after(void)
   return stash->v;
 }
 |}
-  in
-  ignore (call st "make");
-  expect_crash "KASAN: slab-use-after-free Read in use_after" (fun () -> call st "use_after")
+  @@ fun call ->
+  ignore (call "make");
+  expect_crash "KASAN: slab-use-after-free Read in use_after" (fun () -> call "use_after")
 
 let test_double_free_crash () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(void)
 {
   void *p;
@@ -187,13 +197,12 @@ static int f(void)
   return 0;
 }
 |}
-  in
-  expect_crash "KASAN: double-free in f" (fun () -> call st "f")
+  @@ fun call ->
+  expect_crash "KASAN: double-free in f" (fun () -> call "f")
 
 let test_null_deref_crash () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 struct box { int v; };
 static int f(void)
 {
@@ -202,37 +211,37 @@ static int f(void)
   return p->v;
 }
 |}
-  in
-  expect_crash "general protection fault in f" (fun () -> call st "f")
+  @@ fun call ->
+  expect_crash "general protection fault in f" (fun () -> call "f")
 
 let test_array_oob_crash () =
-  let st =
-    state_of {|
+  each
+    {|
 static int f(int i)
 {
   int arr[4];
   return arr[i];
 }
 |}
-  in
+  @@ fun call ->
   expect_crash "UBSAN: array-index-out-of-bounds in f" (fun () ->
-      call ~args:[ Vkernel.Value.vint 7L ] st "f")
+      call ~args:[ Vkernel.Value.vint 7L ] "f")
 
 let test_divide_crash () =
-  let st = state_of {|
+  each {|
 static int f(int d)
 {
   return 100 / d;
 }
-|} in
+|}
+  @@ fun call ->
   Alcotest.(check int64) "normal division" 25L
-    (int_of (call ~args:[ Vkernel.Value.vint 4L ] st "f"));
-  expect_crash "divide error in f" (fun () -> call ~args:[ Vkernel.Value.vint 0L ] st "f")
+    (int_of (call ~args:[ Vkernel.Value.vint 4L ] "f"));
+  expect_crash "divide error in f" (fun () -> call ~args:[ Vkernel.Value.vint 0L ] "f")
 
 let test_oversized_alloc_crash () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 static int f(unsigned long size)
 {
   void *p;
@@ -243,15 +252,14 @@ static int f(unsigned long size)
   return 0;
 }
 |}
-  in
+  @@ fun call ->
   Alcotest.(check int64) "normal alloc" 0L
-    (int_of (call ~args:[ Vkernel.Value.vint 4096L ] st "f"));
-  expect_crash "kmalloc bug in f" (fun () -> call ~args:[ Vkernel.Value.vint 0x9000_0000L ] st "f")
+    (int_of (call ~args:[ Vkernel.Value.vint 4096L ] "f"));
+  expect_crash "kmalloc bug in f" (fun () -> call ~args:[ Vkernel.Value.vint 0x9000_0000L ] "f")
 
 let test_deadlock_crash () =
-  let st =
-    state_of
-      {|
+  each
+    {|
 struct mutex _m;
 static int f(void)
 {
@@ -261,27 +269,27 @@ static int f(void)
   return 0;
 }
 |}
-  in
-  expect_crash "possible deadlock in f" (fun () -> call st "f")
+  @@ fun call ->
+  expect_crash "possible deadlock in f" (fun () -> call "f")
 
 let test_step_budget_timeout () =
-  let st = state_of {|
+  each {|
 static int f(void)
 {
   while (1) {
   }
   return 0;
 }
-|} in
-  match call st "f" with
+|}
+  @@ fun call ->
+  match call "f" with
   | _ -> Alcotest.fail "expected a timeout"
   | exception Vkernel.Interp.Exec_timeout -> ()
 
 let test_copy_from_user_type_confusion () =
   (* a user struct with wrong field names yields kernel-side zeros *)
-  let st =
-    state_of
-      {|
+  each
+    {|
 struct req { u32 mode; };
 static int f(unsigned long arg)
 {
@@ -293,13 +301,13 @@ static int f(unsigned long arg)
   return 0;
 }
 |}
-  in
+  @@ fun call ->
   let good = Vkernel.Value.(vuptr (U_struct ("req", [ ("mode", U_int 7L) ]))) in
   let confused = Vkernel.Value.(vuptr (U_struct ("other", [ ("field_0", U_int 7L) ]))) in
   Alcotest.(check int64) "matching names reach the branch" 1L
-    (int_of (call ~args:[ good ] st "f"));
+    (int_of (call ~args:[ good ] "f"));
   Alcotest.(check int64) "confused layout reads zero" 0L
-    (int_of (call ~args:[ confused ] st "f"))
+    (int_of (call ~args:[ confused ] "f"))
 
 let () =
   let t n f = Alcotest.test_case n `Quick f in

@@ -146,7 +146,7 @@ static const struct file_operations arith_fops = {
       let idx = Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"a.c" src) in
       let st = Vkernel.Interp.create ~index:idx () in
       let v =
-        Vkernel.Interp.call st "arith_ioctl"
+        Vkernel.Jit.call (Vkernel.Jit.of_index idx) st "arith_ioctl"
           [ Vkernel.Value.vint 0L; Vkernel.Value.vint 0L; Vkernel.Value.vint 0L ]
       in
       let expected =
