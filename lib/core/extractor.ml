@@ -6,7 +6,15 @@
     [ioctl] / [setsockopt] fields), locates the registration symbol the
     device name hides behind, and serves definition source text on
     demand (the [ExtractCode] of Algorithm 1). Ground-truth registry
-    metadata is never consulted. *)
+    metadata is never consulted.
+
+    A module's index covers the shared header and the module's own file.
+    {!entry_index} builds it from the ASTs the booted kernel already
+    holds, so the pipeline parses nothing; {!module_index} parses a
+    source from text (behind the header AST parsed once per process) and
+    serves kernels that lack the module and callers that have only the
+    source. Sids and file paths never reach a prompt ({!snippet}
+    pretty-prints the AST), so both give the same prompts. *)
 
 type handler_info = {
   hi_ops_global : string;  (** the fops/proto_ops symbol *)
@@ -19,6 +27,15 @@ type handler_info = {
 let module_index (source : string) : Csrc.Index.t =
   let sid = ref 0 in
   Csrc.Index.of_files (Corpus.Headers.parse_with_header ~sid ~file:"module.c" source)
+
+(** The index of [entry] over the header and module files of [kernel]
+    (a booted machine's index); parses the entry's source only when
+    [kernel] does not contain it. *)
+let entry_index ~(kernel : Csrc.Index.t) (entry : Corpus.Types.entry) : Csrc.Index.t =
+  let file path = List.find_opt (fun (f : Csrc.Ast.file) -> f.path = path) kernel.files in
+  match (file Corpus.Headers.header_path, file (Corpus.Headers.module_file_name entry)) with
+  | Some header, Some body -> Csrc.Index.of_files [ header; body ]
+  | _ -> module_index entry.source
 
 let handler_field_names =
   [
@@ -134,7 +151,7 @@ let module_macros_snippet (idx : Csrc.Index.t) : Prompt.snippet =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (f : Csrc.Ast.file) ->
-      if f.path <> "include/kernel.h" then
+      if f.path <> Corpus.Headers.header_path then
         List.iter
           (fun d ->
             match d with

@@ -256,7 +256,7 @@ let run_driver ~(mode : mode) ~(client : Client.t) ~(kernel : Csrc.Index.t)
       ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
       ~kind:"pipeline.stage" "extraction"
     @@ fun () ->
-    let midx = Extractor.module_index entry.source in
+    let midx = Extractor.entry_index ~kernel entry in
     (midx, Extractor.extract midx)
   in
   match Extractor.main_handler infos with
@@ -453,7 +453,7 @@ let run_socket ~(mode : mode) ~(client : Client.t) ~(kernel : Csrc.Index.t)
       ~attrs:(fun () -> [ ("entry", Obs.Json.Str entry.name) ])
       ~kind:"pipeline.stage" "extraction"
     @@ fun () ->
-    let midx = Extractor.module_index entry.source in
+    let midx = Extractor.entry_index ~kernel entry in
     (midx, Extractor.extract midx)
   in
   match List.find_opt (fun hi -> hi.Extractor.hi_is_socket) infos with

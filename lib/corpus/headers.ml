@@ -3,7 +3,9 @@
     Every module source is parsed together with this header, which plays
     the role of [include/linux/*.h]: the registration structs
     ([file_operations], [miscdevice], [proto_ops]), errno constants, and
-    the handful of helpers the drivers rely on. *)
+    the handful of helpers the drivers rely on. The header is parsed
+    once per process ({!header_file}); every boot and every module index
+    shares that AST. *)
 
 let kernel_h =
   {|
@@ -169,9 +171,37 @@ struct completion {
 };
 |}
 
-(** Parse the shared header together with a module source. The statement
+(** Path of the shared header in every index built over the corpus. *)
+let header_path = "include/kernel.h"
+
+(** Path of a module's source in the booted kernel's index. *)
+let module_file_name (e : Types.entry) =
+  match e.kind with
+  | Types.Driver -> Printf.sprintf "drivers/%s.c" e.name
+  | Types.Socket -> Printf.sprintf "net/%s.c" e.name
+
+(** The header parsed once per process, with statement ids
+    [0 .. header_sids - 1]. Evaluated eagerly at program start (not
+    [Lazy]), so worker domains only ever read it; the AST is immutable
+    and shared by every index that starts its sid counter at 0. *)
+let header_file, header_sids =
+  let sid = ref 0 in
+  let f = Csrc.Parser.parse_file ~file:header_path ~sid kernel_h in
+  (f, !sid)
+
+(** The header for a sid counter: the shared AST when the counter is at
+    0 (it then advances to [header_sids], exactly as a fresh parse
+    would), a fresh parse otherwise. *)
+let header ~sid : Csrc.Ast.file =
+  if !sid = 0 then begin
+    sid := header_sids;
+    header_file
+  end
+  else Csrc.Parser.parse_file ~file:header_path ~sid kernel_h
+
+(** Parse a module source together with the shared header. The statement
     id counter is threaded so sids stay globally unique. *)
 let parse_with_header ~sid ~file (source : string) : Csrc.Ast.file list =
-  let header = Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid kernel_h in
+  let header = header ~sid in
   let body = Csrc.Parser.parse_file ~file ~sid source in
   [ header; body ]

@@ -26,10 +26,11 @@ let generation_targets (entries : Corpus.Types.entry list) : Corpus.Types.entry 
     entries
 
 (** Build the shared context. [jobs > 1] shards the per-entry pipeline
-    runs over a domain pool; every worker boots its own machine and
-    oracle (both carry mutable state — the definition index memoizes,
-    the oracle counts), and the outcomes are merged in entry order, so
-    the context is identical to a sequential build. A [faults] plan
+    runs over a domain pool; every worker gets a private definition
+    index over the booted kernel's files (the ASTs are immutable and
+    shared; the index's memo tables are not) and a private oracle (it
+    counts), and the outcomes are merged in entry order, so the context
+    is identical to a sequential build. A [faults] plan
     and/or a [query_budget] route every pipeline query through a
     fault-tolerant {!Client} (the budget is one atomic counter shared by
     all workers); with neither set the client is a pass-through and the
@@ -56,8 +57,7 @@ let build ?(profile = Profile.gpt4) ?(jobs = 1) ?faults ?query_budget ?cache () 
            so a retried attempt never double-counts queries or tokens *)
         if jobs <= 1 then (client_of (Oracle.create ~profile ~knowledge:kernel ()), kernel)
         else
-          let m = Vkernel.Machine.boot entries in
-          let k = m.Vkernel.Machine.index in
+          let k = Csrc.Index.of_files kernel.Csrc.Index.files in
           (client_of (Oracle.create ~profile ~knowledge:k ()), k))
       ~f:(fun (client, kernel) (e : Corpus.Types.entry) ->
         let oracle = Client.oracle client in

@@ -39,7 +39,7 @@ type socket_reg = { sock_module : string; sock_ops : string }
 
 type t = {
   index : Csrc.Index.t;
-  devices : (string * device) list;
+  devices : (string, device) Hashtbl.t;  (** device path -> driver, built at boot *)
   sockets : ((int * int * int) * socket_reg) list;
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
@@ -56,25 +56,21 @@ type t = {
   n_sids : int;  (** statement-id count, sizes coverage bitmaps *)
 }
 
-let module_file_name (e : Corpus.Types.entry) =
-  match e.kind with
-  | Corpus.Types.Driver -> Printf.sprintf "drivers/%s.c" e.name
-  | Corpus.Types.Socket -> Printf.sprintf "net/%s.c" e.name
-
 (** Boot the machine over the given corpus entries (normally the loaded
-    ones). Parses every module together with the shared header into a
-    single definition index with globally unique statement ids. *)
+    ones). Parses every module into a single definition index with
+    globally unique statement ids, behind the process-wide header AST
+    (sids [0 .. Headers.header_sids - 1]). *)
 let boot (entries : Corpus.Types.entry list) : t =
   let sid = ref 0 in
-  let header =
-    Csrc.Parser.parse_file ~file:"include/kernel.h" ~sid Corpus.Headers.kernel_h
-  in
+  let header = Corpus.Headers.header ~sid in
   let sid_module = Hashtbl.create 4096 in
   let files =
     List.map
       (fun (e : Corpus.Types.entry) ->
         let before = !sid in
-        let f = Csrc.Parser.parse_file ~file:(module_file_name e) ~sid e.source in
+        let f =
+          Csrc.Parser.parse_file ~file:(Corpus.Headers.module_file_name e) ~sid e.source
+        in
         for s = before to !sid - 1 do
           Hashtbl.replace sid_module s e.name
         done;
@@ -82,16 +78,17 @@ let boot (entries : Corpus.Types.entry list) : t =
       entries
   in
   let index = Csrc.Index.of_files (header :: files) in
-  let devices =
-    List.concat_map
-      (fun (e : Corpus.Types.entry) ->
-        if e.kind = Corpus.Types.Driver then
-          List.map
-            (fun path -> (path, { dev_module = e.name; dev_fops = e.gt.gt_fops }))
-            e.gt.gt_paths
-        else [])
-      entries
-  in
+  let devices = Hashtbl.create 512 in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      if e.kind = Corpus.Types.Driver then
+        List.iter
+          (fun path ->
+            (* the first module to register a path owns it *)
+            if not (Hashtbl.mem devices path) then
+              Hashtbl.add devices path { dev_module = e.name; dev_fops = e.gt.gt_fops })
+          e.gt.gt_paths)
+    entries;
   let sockets =
     List.filter_map
       (fun (e : Corpus.Types.entry) ->
@@ -306,7 +303,7 @@ let op_open (run : run) (retvals : int64 array) (c : call) : int64 =
     if c.c_name = "open" then (match get args 0 with P_str s -> s | _ -> path) else path
   in
   ignore retvals;
-  match List.assoc_opt path run.machine.devices with
+  match Hashtbl.find_opt run.machine.devices path with
   | None -> errno 2 (* ENOENT *)
   | Some dev ->
       let file = Interp.typed_obj st ~fn "file" in

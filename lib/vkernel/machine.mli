@@ -39,7 +39,9 @@ type socket_reg = { sock_module : string; sock_ops : string }
 
 type t = {
   index : Csrc.Index.t;
-  devices : (string * device) list;
+  devices : (string, device) Hashtbl.t;
+      (** device path -> driver; where two drivers register one path,
+          the first entry booted owns it *)
   sockets : ((int * int * int) * socket_reg) list;
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
@@ -56,8 +58,9 @@ type t = {
 }
 
 (** Boot the machine over the given corpus entries: parse all module
-    sources with the shared header into one definition index with
-    globally unique statement ids, and register devices and sockets. *)
+    sources into one definition index with globally unique statement
+    ids, behind the process-wide header AST ({!Corpus.Headers.header}),
+    and register devices and sockets. *)
 val boot : Corpus.Types.entry list -> t
 
 (** Which module a covered statement belongs to. *)

@@ -332,24 +332,29 @@ if ! gate "$tmp/bench_t3.json" BENCH_table3_quick.json table3 table3; then
 fi
 echo "OK: table4 and table3 are within 0.9x of their committed BENCH baselines"
 
-echo "== BENCH regression gate: every quick table of the whole report =="
+echo "== BENCH regression gate: every quick table and spec generation of the whole report =="
 # BENCH_all_quick.json records one whole quick report (--exp all
 # --jobs 1). Every fuzzing table of a fresh whole report must reach
-# 0.9x of its committed execs/s. A table passes on its best of up to
-# three whole-report runs, so a load spike during one table does not
-# fail it; a real regression fails all three.
+# 0.9x of its committed execs/s, and spec generation 0.9x of its
+# committed specs/s. Each figure passes on its best of up to three
+# whole-report runs, so a load spike during one table does not fail
+# it; a real regression fails all three.
 check_all_tables() {
   python3 - BENCH_all_quick.json "$@" <<'EOF'
 import json, sys
 def rates(f):
-    return {t["name"]: t["execs_per_s"] for t in json.load(open(f))["tables"]}
+    d = json.load(open(f))
+    r = {t["name"]: t["execs_per_s"] for t in d["tables"]}
+    r["generation"] = d["generation"]["specs_per_s"]
+    return r
 committed = rates(sys.argv[1])
 runs = [rates(f) for f in sys.argv[2:]]
 failed = []
-for name in ["table3", "table4", "table5", "table6", "ablation", "ablation-sched"]:
+for name in ["table3", "table4", "table5", "table6", "ablation", "ablation-sched", "generation"]:
+    unit = "specs/s" if name == "generation" else "execs/s"
     best = max(r[name] for r in runs)
     ratio = best / committed[name]
-    print("all/%s: best %.0f execs/s vs committed %.0f (%.2fx)" % (name, best, committed[name], ratio))
+    print("all/%s: best %.0f %s vs committed %.0f (%.2fx)" % (name, best, unit, committed[name], ratio))
     if ratio < 0.9:
         failed.append(name)
 assert not failed, "below 0.9x of the committed baseline: " + ", ".join(failed)
@@ -366,10 +371,10 @@ for attempt in 1 2 3; do
   echo "whole-report gate not met after $attempt run(s); re-measuring"
 done
 if [ "$all_ok" -ne 1 ]; then
-  echo "FAIL: a quick table's throughput fell below 0.9x BENCH_all_quick.json (best of 3)" >&2
+  echo "FAIL: a quick table's or spec generation's throughput fell below 0.9x BENCH_all_quick.json (best of 3)" >&2
   exit 1
 fi
-echo "OK: all six quick tables are within 0.9x of BENCH_all_quick.json"
+echo "OK: all six quick tables and spec generation are within 0.9x of BENCH_all_quick.json"
 
 echo "== UCB scheduling: stop/resume, shard independence, sched pinning =="
 # The UCB scheduler's state (per-slot visit/reward counters, operator

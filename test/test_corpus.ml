@@ -161,7 +161,7 @@ let test_pick_in_range () =
 
 let test_whole_kernel_boot () =
   let m = Vkernel.Machine.boot (Corpus.Registry.loaded ()) in
-  Alcotest.(check int) "278 devices" 278 (List.length m.Vkernel.Machine.devices);
+  Alcotest.(check int) "278 devices" 278 (Hashtbl.length m.Vkernel.Machine.devices);
   Alcotest.(check int) "81 sockets" 81 (List.length m.Vkernel.Machine.sockets)
 
 let () =

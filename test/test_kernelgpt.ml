@@ -372,6 +372,59 @@ let test_extractor_socket_kind () =
         (List.mem_assoc "sendmsg" hi.hi_handlers)
   | _ -> Alcotest.fail "expected exactly one handler"
 
+(* The pipeline's module index comes from the booted kernel's ASTs when
+   the kernel holds the entry, and from a fresh parse otherwise; the two
+   must be indistinguishable to every stage. *)
+
+let loaded_kernel =
+  lazy (Vkernel.Machine.boot (Corpus.Registry.loaded ())).Vkernel.Machine.index
+
+let generation_targets () = Report.Suites.generation_targets (Corpus.Registry.loaded ())
+
+let test_entry_index_equals_parse () =
+  let kernel = Lazy.force loaded_kernel in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      let booted = Kernelgpt.Extractor.entry_index ~kernel e in
+      let parsed = Kernelgpt.Extractor.module_index e.source in
+      (* the booted path was taken: both files are the kernel's own ASTs *)
+      Alcotest.(check bool) (e.name ^ " reuses the booted ASTs") true
+        (List.for_all (fun f -> List.memq f kernel.files) booted.files);
+      Alcotest.(check bool) (e.name ^ " extract") true
+        (Kernelgpt.Extractor.extract booted = Kernelgpt.Extractor.extract parsed);
+      let names (idx : Csrc.Index.t) =
+        List.concat_map (fun (f : Csrc.Ast.file) -> List.map Csrc.Ast.decl_name f.decls) idx.files
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check (option string)) (e.name ^ ": " ^ name)
+            (Csrc.Index.extract_source parsed name)
+            (Csrc.Index.extract_source booted name))
+        (List.sort_uniq String.compare (names booted @ names parsed)))
+    (generation_targets ())
+
+let test_pipeline_booted_equals_fallback () =
+  let kernel = Lazy.force loaded_kernel in
+  (* the same definitions under paths no entry maps to: every run falls
+     back to parsing the entry's source *)
+  let elsewhere =
+    Csrc.Index.of_files
+      (List.map (fun (f : Csrc.Ast.file) -> { f with path = "elsewhere/" ^ f.path }) kernel.files)
+  in
+  let outcomes kernel =
+    let oracle = Oracle.create ~profile:Profile.gpt4 ~knowledge:kernel () in
+    List.map (fun e -> Kernelgpt.Pipeline.run ~oracle ~kernel e) (generation_targets ())
+  in
+  List.iter2
+    (fun (a : Kernelgpt.Pipeline.outcome) (b : Kernelgpt.Pipeline.outcome) ->
+      let spec o = Option.fold ~none:"-" ~some:Syzlang.Printer.spec_str o.Kernelgpt.Pipeline.o_spec in
+      Alcotest.(check string) (a.o_entry ^ " spec") (spec b) (spec a);
+      Alcotest.(check bool) (a.o_entry ^ " valid") b.o_valid a.o_valid;
+      Alcotest.(check bool) (a.o_entry ^ " usable") b.o_usable a.o_usable;
+      Alcotest.(check int) (a.o_entry ^ " queries") b.o_queries a.o_queries;
+      Alcotest.(check int) (a.o_entry ^ " tokens") b.o_tokens a.o_tokens)
+    (outcomes kernel) (outcomes elsewhere)
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "kernelgpt"
@@ -413,5 +466,7 @@ let () =
         [
           t "kvm handlers" test_extractor_finds_handlers;
           t "socket kind" test_extractor_socket_kind;
+          t "booted index equals parse" test_entry_index_equals_parse;
+          t "pipeline booted equals fallback" test_pipeline_booted_equals_fallback;
         ] );
     ]

@@ -283,6 +283,59 @@ let test_detach_frees () =
     r.retvals;
   Alcotest.(check bool) "no false leak after detach+reattach" true (r.crash = None)
 
+(* ------------------------------------------------------------------ *)
+(* Boot                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Boot reuses the header parsed once per process; its sid numbering
+   must equal a boot that parses kernel.h afresh. *)
+let test_boot_shared_header_sids () =
+  let entries = Corpus.Registry.loaded () in
+  let m = Machine.boot entries in
+  let sid = ref 0 in
+  let header =
+    Csrc.Parser.parse_file ~file:Corpus.Headers.header_path ~sid Corpus.Headers.kernel_h
+  in
+  Alcotest.(check int) "header sid count" !sid Corpus.Headers.header_sids;
+  let sid_module = Hashtbl.create 4096 in
+  let files =
+    List.map
+      (fun (e : Corpus.Types.entry) ->
+        let before = !sid in
+        let f = Csrc.Parser.parse_file ~file:(Corpus.Headers.module_file_name e) ~sid e.source in
+        for s = before to !sid - 1 do
+          Hashtbl.replace sid_module s e.name
+        done;
+        f)
+      entries
+  in
+  Alcotest.(check int) "n_sids" !sid m.n_sids;
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  Alcotest.(check (list (pair int string))) "sid_module" (sorted sid_module) (sorted m.sid_module);
+  Alcotest.(check bool) "same ASTs" true (m.index.files = header :: files);
+  Alcotest.(check bool) "header AST shared" true
+    (List.hd m.index.files == Corpus.Headers.header_file);
+  (* parse_with_header shares the header only from sid 0 *)
+  let from0 = ref 0 and from7 = ref 7 in
+  let h0 = List.hd (Corpus.Headers.parse_with_header ~sid:from0 ~file:"m.c" "") in
+  let h7 = List.hd (Corpus.Headers.parse_with_header ~sid:from7 ~file:"m.c" "") in
+  Alcotest.(check bool) "shared from 0" true (h0 == Corpus.Headers.header_file);
+  Alcotest.(check int) "counter after shared header" Corpus.Headers.header_sids !from0;
+  Alcotest.(check bool) "fresh from 7" true (h7 != Corpus.Headers.header_file);
+  Alcotest.(check int) "counter after fresh header" (7 + Corpus.Headers.header_sids) !from7
+
+(* Two drivers registering one path: the first entry booted owns it. *)
+let test_boot_first_device_wins () =
+  let dm = Corpus.Registry.find_exn "dm" in
+  let twin = { dm with name = "dm_twin"; gt = { dm.gt with gt_fops = "twin_fops" } } in
+  let m = Machine.boot [ dm; twin ] in
+  List.iter
+    (fun path ->
+      Alcotest.(check string) path "dm" (Hashtbl.find m.devices path).dev_module)
+    dm.gt.gt_paths;
+  Alcotest.(check int) "one entry per path" (List.length dm.gt.gt_paths)
+    (Hashtbl.length m.devices)
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "machine"
@@ -297,6 +350,11 @@ let () =
           t "sendto lowering" test_sendto_lowered_to_sendmsg;
         ] );
       ("anon-fds", [ t "kvm vm/vcpu chain" test_kvm_anon_fd_chain ]);
+      ( "boot",
+        [
+          t "shared header sids" test_boot_shared_header_sids;
+          t "first device wins" test_boot_first_device_wins;
+        ] );
       ( "interp",
         [
           t "read/write dispatch" test_read_write_dispatch;
