@@ -14,7 +14,10 @@
     source from text (behind the header AST parsed once per process) and
     serves kernels that lack the module and callers that have only the
     source. Sids and file paths never reach a prompt ({!snippet}
-    pretty-prints the AST), so both give the same prompts. *)
+    pretty-prints the AST), so both give the same prompts.
+
+    Each snippet carries the declarations its text prints, and the
+    oracle analyzes those: no prompt text is parsed again. *)
 
 type handler_info = {
   hi_ops_global : string;  (** the fops/proto_ops symbol *)
@@ -139,28 +142,30 @@ let main_handler (infos : handler_info list) : handler_info option =
 let find_handler (infos : handler_info list) (ops : string) : handler_info option =
   List.find_opt (fun hi -> hi.hi_ops_global = ops) infos
 
-(** Source text of the named definition (function, struct, macro, ...). *)
+(** The named definition (function, struct, macro, ...) as a prompt
+    snippet: its source text and the declaration that text prints. *)
 let snippet (idx : Csrc.Index.t) (name : string) : Prompt.snippet option =
-  match Csrc.Index.extract_source idx name with
-  | Some text -> Some { Prompt.snip_name = name; snip_text = text }
+  match Csrc.Index.definition idx name with
+  | Some d ->
+      Some { Prompt.snip_name = name; snip_text = Csrc.Pretty.decl_str d; snip_decls = [ d ] }
   | None -> None
 
 (** One snippet holding all [#define]s of the module (protocol numbers,
     command macros) — used by socket-triple inference. *)
 let module_macros_snippet (idx : Csrc.Index.t) : Prompt.snippet =
+  let macros =
+    List.concat_map
+      (fun (f : Csrc.Ast.file) ->
+        if f.path = Corpus.Headers.header_path then []
+        else
+          List.filter
+            (function Csrc.Ast.D_macro m -> m.macro_body <> [] | _ -> false)
+            f.decls)
+      idx.Csrc.Index.files
+  in
   let buf = Buffer.create 1024 in
-  List.iter
-    (fun (f : Csrc.Ast.file) ->
-      if f.path <> Corpus.Headers.header_path then
-        List.iter
-          (fun d ->
-            match d with
-            | Csrc.Ast.D_macro m when m.macro_body <> [] ->
-                Buffer.add_string buf (Csrc.Pretty.macro_str m ^ "\n")
-            | _ -> ())
-          f.decls)
-    idx.Csrc.Index.files;
-  { Prompt.snip_name = "module-macros"; snip_text = Buffer.contents buf }
+  List.iter (fun d -> Buffer.add_string buf (Csrc.Pretty.decl_str d ^ "\n")) macros;
+  { Prompt.snip_name = "module-macros"; snip_text = Buffer.contents buf; snip_decls = macros }
 
 (** Struct the handler casts one of [param_names] to (sockaddr
     recovery): the [(struct X * ) uaddr] idiom. *)

@@ -386,24 +386,28 @@ let ident_const (t : t) (name : string) : ident_const =
       Hashtbl.replace t.ident_cache name v;
       v
 
-(** All definitions whose name matches, rendered as source text: the
-    [ExtractCode] stand-in for oracle prompts. *)
-let extract_source t (name : string) : string option =
+(** The definition of [name] a prompt shows, by precedence: a function
+    with a body, then a struct or union, an enum, a macro, a global.
+    {!extract_source} prints it and the extractor's prompt snippets
+    carry it, so a snippet's text and its declaration never disagree. *)
+let definition t (name : string) : Ast.decl option =
   match find_function t name with
-  | Some fd when fd.fun_body <> [] -> Some (Pretty.func_str fd)
+  | Some fd when fd.fun_body <> [] -> Some (Ast.D_func fd)
   | _ -> (
       match find_composite t name with
-      | Some cd -> Some (Pretty.composite_str cd)
+      | Some cd -> Some (Ast.D_composite cd)
       | None -> (
           match Hashtbl.find_opt t.enum_defs name with
-          | Some ed -> Some (Pretty.enum_str ed)
+          | Some ed -> Some (Ast.D_enum ed)
           | None -> (
               match find_macro t name with
-              | Some md -> Some (Pretty.macro_str md)
-              | None -> (
-                  match find_global t name with
-                  | Some gd -> Some (Pretty.global_str gd)
-                  | None -> None))))
+              | Some md -> Some (Ast.D_macro md)
+              | None -> Option.map (fun gd -> Ast.D_global gd) (find_global t name))))
+
+(** The definition of [name] rendered as source text: the [ExtractCode]
+    stand-in for oracle prompts. *)
+let extract_source t (name : string) : string option =
+  Option.map Pretty.decl_str (definition t name)
 
 (** Source files that define [name], for diagnostics. *)
 let defining_file t (name : string) : string option =

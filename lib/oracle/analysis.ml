@@ -1,28 +1,22 @@
 (** The analyses behind the simulated LLM.
 
-    The oracle receives source *text* in its prompt (like a real LLM), so
-    everything here starts by re-parsing the snippets into a local
-    definition index — whatever got truncated away by the context window
-    is genuinely invisible. The kernel-wide index passed in as
-    [knowledge] models pre-training exposure to kernel headers: it is
+    The oracle sees only what its prompt holds (like a real LLM): the
+    local definition index is built from the declarations of the
+    prompt's snippets, which are exactly what their source text prints,
+    so whatever the context window truncated away is genuinely
+    invisible. Nothing is parsed here. The kernel-wide index passed in
+    as [knowledge] models pre-training exposure to kernel headers: it is
     used only for constant-value lookups (macro names and values), never
     to discover code the prompt did not include. *)
 
 type local = {
-  index : Csrc.Index.t;  (** parsed from the prompt snippets *)
+  index : Csrc.Index.t;  (** the prompt snippets' declarations *)
   knowledge : Csrc.Index.t;  (** header knowledge: names and constants *)
 }
 
-let parse_snippets ~(knowledge : Csrc.Index.t) (snips : Prompt.snippet list) : local =
-  let sid = ref 1_000_000 in
-  let files =
-    List.filter_map
-      (fun s ->
-        try Some (Csrc.Parser.parse_file ~file:("<prompt:" ^ s.Prompt.snip_name ^ ">") ~sid s.Prompt.snip_text)
-        with Csrc.Parser.Error _ | Csrc.Lexer.Error _ -> None)
-      snips
-  in
-  { index = Csrc.Index.of_files files; knowledge }
+let index_snippets ~(knowledge : Csrc.Index.t) (snips : Prompt.snippet list) : local =
+  let decls = List.concat_map (fun (s : Prompt.snippet) -> s.snip_decls) snips in
+  { index = Csrc.Index.of_files [ { Csrc.Ast.path = "<prompt>"; decls } ]; knowledge }
 
 (* ------------------------------------------------------------------ *)
 (* Usage-line encoding (carried between iterative steps)               *)

@@ -373,6 +373,10 @@ let replay (o : Oracle.t) (e : entry) : Prompt.response =
 
 let checksum_of (s : string) : string = Printf.sprintf "fnv1a64:%016Lx" (fnv1a64 s)
 
+(* the trailer line exactly as {!flush} writes it: the loader accepts no
+   other spelling, so no byte outside the checksummed body can change *)
+let checksum_record (sum : string) : string = J.to_string (J.Obj [ ("checksum", J.Str sum) ])
+
 let flush (t : t) : (unit, string) result =
   match t.c_file with
   | None -> Ok ()
@@ -404,7 +408,7 @@ let flush (t : t) : (unit, string) result =
         let oc = open_out tmp in
         (try
            output_string oc body;
-           output_string oc (J.to_string (J.Obj [ ("checksum", J.Str (checksum_of body)) ]));
+           output_string oc (checksum_record (checksum_of body));
            output_char oc '\n';
            close_out oc
          with e ->
@@ -472,6 +476,8 @@ let load (t : t) (file : string) : (unit, string) result =
               if sum <> actual then
                 bad "corrupted oracle cache (checksum mismatch: file says %s, content hashes to %s)"
                   sum actual;
+              if last <> checksum_record sum then
+                bad "corrupted oracle cache (checksum record %S is not in its written form)" last;
               match records with
               | [] -> bad "truncated oracle cache (missing header)"
               | header :: entries ->

@@ -535,7 +535,7 @@ let query (o : t) (p : Prompt.t) : Prompt.response =
   tokens := Prompt.tokens p;
   o.prompt_tokens <- o.prompt_tokens + !tokens;
   Obs.Metrics.incr ~by:!tokens "oracle.prompt_tokens";
-  let local = Analysis.parse_snippets ~knowledge:o.knowledge p.snippets in
+  let local = Analysis.index_snippets ~knowledge:o.knowledge p.snippets in
   match p.task with
   | Prompt.Identifier_deduction { handler_fn } ->
       run_identifier o local ~handler_fn ~usage:p.usage

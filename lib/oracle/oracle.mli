@@ -1,9 +1,10 @@
 (** The simulated analysis LLM.
 
     Deterministic stand-in for GPT-4/-4o/-3.5 (see {!Profile}): it
-    *really* analyzes the source text in its prompt — re-parsed through
-    the same mini-C front end, so context truncation genuinely hides
-    code — with capability gaps and seeded, repairable hallucinations.
+    *really* analyzes the code in its prompt — the declarations each
+    snippet's text prints ({!Prompt.snippet}), indexed without parsing,
+    so context truncation genuinely hides code — with capability gaps
+    and seeded, repairable hallucinations.
     The [knowledge] index models pre-training exposure to kernel
     headers: it resolves constant names and values, never code the
     prompt did not include. *)
@@ -40,6 +41,8 @@ val task_name : Prompt.task -> string
 val task_subject : Prompt.task -> string
 
 (** Answer one prompt. Applies the context window (whole trailing
-    snippets are dropped), runs the analysis for the prompt's task, and
-    injects the profile's deterministic error rate. *)
+    snippets are dropped, their declarations with them), runs the
+    analysis for the prompt's task over the kept snippets'
+    declarations, and injects the profile's deterministic error rate.
+    Calls no parser. *)
 val query : t -> Prompt.t -> Prompt.response

@@ -4,7 +4,12 @@
     instruction, the unknown-target list carried over from the previous
     step, and the source code of the relevant definitions. Responses are
     structured the way KernelGPT parses LLM output: inferred facts plus
-    an [UNKNOWN] section naming the definitions still needed. *)
+    an [UNKNOWN] section naming the definitions still needed.
+
+    A snippet carries its source text and the declarations that text
+    prints. The text is what the model "reads": token counts,
+    {!render} and the answer-cache key come from it. The oracle analyzes
+    the declarations, so answering a prompt parses nothing. *)
 
 type task =
   | Identifier_deduction of { handler_fn : string }
@@ -18,7 +23,23 @@ type task =
   | Repair of { item : string; description : string; error : string }
   | All_in_one of { handler_fn : string }  (** §5.2.3 ablation: single prompt *)
 
-type snippet = { snip_name : string; snip_text : string }
+type snippet = {
+  snip_name : string;
+  snip_text : string;
+  snip_decls : Csrc.Ast.decl list;
+      (** the declarations [snip_text] prints; parsing the text gives
+          them back, up to statement ids and source locations *)
+}
+
+(** A snippet from hand-written source text, parsed once here. Text
+    that does not parse carries no declarations: the oracle sees
+    nothing in it. *)
+let snippet_of_text ~(name : string) (text : string) : snippet =
+  let snip_decls =
+    try (Csrc.Parser.parse_file ~file:("<prompt:" ^ name ^ ">") ~sid:(ref 0) text).decls
+    with Csrc.Parser.Error _ | Csrc.Lexer.Error _ -> []
+  in
+  { snip_name = name; snip_text = text; snip_decls }
 
 type t = {
   task : task;
@@ -42,8 +63,8 @@ let tokens (p : t) : int =
   + List.fold_left (fun acc u -> acc + usage_tokens u) 0 p.usage
 
 (** Render the prompt as the text actually "sent" — used by the examples
-    and by token accounting; the analysis itself consumes the same
-    snippets structurally. *)
+    and by the answer-cache key; the analysis itself consumes the
+    snippets' declarations. *)
 let render (p : t) : string =
   let buf = Buffer.create 2048 in
   let add s = Buffer.add_string buf (s ^ "\n") in

@@ -15,7 +15,7 @@ let dm_kernel = lazy (kernel_of [ Corpus.Drv_dm.source ])
 
 let snippet idx name =
   match Csrc.Index.extract_source idx name with
-  | Some text -> { Prompt.snip_name = name; snip_text = text }
+  | Some text -> Prompt.snippet_of_text ~name text
   | None -> Alcotest.failf "no source for %s" name
 
 let tmp_file =
@@ -125,6 +125,64 @@ let test_key_ignores_truncated_tail () =
     (Cache.key ~profile:tiny { p with Prompt.snippets = [] })
     (Cache.key ~profile:tiny p)
 
+(* Pipeline prompts carry the extractor's declarations; hand-written
+   prompts parse their text. The key hashes only the text, so rebuilding
+   every snippet from its text keys and answers alike. The digests are
+   the keys of builds whose snippets carried text alone: warm cache
+   files those builds wrote keep hitting. *)
+let test_key_from_snippet_text_only () =
+  Alcotest.(check int) "schema version unchanged" 1 Cache.schema_version;
+  let idx = Kernelgpt.Extractor.module_index Corpus.Drv_dm.source in
+  let snip name = Option.get (Kernelgpt.Extractor.snippet idx name) in
+  let prompts =
+    [
+      ( "60c867edb3543cb4",
+        {
+          Prompt.task = Prompt.Identifier_deduction { handler_fn = "ctl_ioctl" };
+          snippets = [ snip "ctl_ioctl"; Kernelgpt.Extractor.module_macros_snippet idx ];
+          usage = [ "FUNC: ctl_ioctl; MODE: nr; MAGIC: 253; ARG: dm_ioctl" ];
+        } );
+      ( "c2d7fe2f21071492",
+        {
+          Prompt.task = Prompt.Dependency_analysis { handler_fn = "ctl_ioctl" };
+          snippets =
+            List.map snip (Kernelgpt.Extractor.call_closure idx "ctl_ioctl" ~depth:3);
+          usage = [];
+        } );
+      ( "f2d64fce12618bb9",
+        {
+          Prompt.task = Prompt.Type_recovery { type_name = "dm_ioctl" };
+          snippets = [ snip "dm_ioctl" ];
+          usage = [];
+        } );
+      ( "0a67b0fa6ede5233",
+        {
+          Prompt.task = Prompt.Device_name { reg_symbol = "_dm_misc" };
+          snippets = [ snip "_dm_misc" ];
+          usage = [];
+        } );
+    ]
+  in
+  let o = Oracle.create ~profile:Profile.gpt4 ~knowledge:idx () in
+  List.iter
+    (fun (want, (p : Prompt.t)) ->
+      let subject = Oracle.task_subject p.task in
+      let rebuilt =
+        {
+          p with
+          snippets =
+            List.map
+              (fun (s : Prompt.snippet) -> Prompt.snippet_of_text ~name:s.snip_name s.snip_text)
+              p.snippets;
+        }
+      in
+      Alcotest.(check string) (subject ^ " key as before") want (Cache.key ~profile:Profile.gpt4 p);
+      Alcotest.(check string) (subject ^ " rebuilt from text") want
+        (Cache.key ~profile:Profile.gpt4 rebuilt);
+      Alcotest.(check bool) (subject ^ " answered alike") true
+        (Oracle.query o p = Oracle.query o rebuilt))
+    prompts
+
 let test_round_trip () =
   (* store → flush → load → identical responses and accounting *)
   let idx = Lazy.force dm_kernel in
@@ -208,6 +266,71 @@ let test_rejects_corruption () =
   write_all file
     (file_with_header {|{"format":"kernelgpt-oracle-cache","version":99,"schema":1}|});
   expect_error "version skew" file "version 99"
+
+(* Random damage to a saved cache file: every mutant must be refused
+   with a descriptive [Error], never raise and never load. *)
+type damage = Flip of int * int | Truncate of int | Insert of int * char
+
+let damage_str = function
+  | Flip (i, mask) -> Printf.sprintf "flip byte %d with mask 0x%02x" i mask
+  | Truncate n -> Printf.sprintf "truncate to %d bytes" n
+  | Insert (i, c) -> Printf.sprintf "insert %C at %d" c i
+
+let apply_damage good = function
+  | Flip (i, mask) ->
+      let b = Bytes.of_string good in
+      Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+      Bytes.to_string b
+  | Truncate n -> String.sub good 0 n
+  | Insert (i, c) ->
+      String.sub good 0 i ^ String.make 1 c ^ String.sub good i (String.length good - i)
+
+let saved_cache =
+  lazy
+    (with_tmp @@ fun file ->
+     populated_file file;
+     read_all file)
+
+let damaged_file_rejected =
+  let gen =
+    let open QCheck.Gen in
+    let n = String.length (Lazy.force saved_cache) in
+    (* the header and the checksum trailer are short but parsed before
+       anything else, so damage lands there as often as in the entries *)
+    let pos bound =
+      frequency
+        [
+          (2, int_bound bound);
+          (1, int_bound (min bound 80));
+          (1, int_range (max 0 (bound - 48)) bound);
+        ]
+    in
+    frequency
+      [
+        (2, map2 (fun i m -> Flip (i, m)) (pos (n - 1)) (int_range 1 255));
+        (1, map (fun k -> Truncate k) (pos (n - 1)));
+        (* whitespace is where a lenient JSON reader would let a changed
+           file through, so it is drawn as often as any other byte *)
+        ( 2,
+          map2
+            (fun i c -> Insert (i, c))
+            (pos n)
+            (frequency [ (1, oneofl [ ' '; '\n'; '\t'; '\r' ]); (1, char) ]) );
+      ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"damaged cache file is refused descriptively"
+    (QCheck.make ~print:damage_str gen)
+    (fun d ->
+      with_tmp @@ fun file ->
+      write_all file (apply_damage (Lazy.force saved_cache) d);
+      match Cache.open_file file with
+      | Ok _ -> QCheck.Test.fail_reportf "accepted a file after: %s" (damage_str d)
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s after: %s" (Printexc.to_string e) (damage_str d)
+      | Error msg ->
+          (* the error names the file and says what is wrong with it *)
+          String.length msg > String.length file + 2
+          && String.sub msg 0 (String.length file + 2) = file ^ ": ")
 
 let test_schema_skew_drops_entries_as_stale () =
   with_tmp @@ fun file ->
@@ -394,11 +517,13 @@ let () =
         [
           t "stable and discriminating" test_key_stable_and_discriminating;
           t "post-truncation prompt keys" test_key_ignores_truncated_tail;
+          t "key from snippet text only" test_key_from_snippet_text_only;
         ] );
       ( "persistence",
         [
           t "store/flush/load round trip" test_round_trip;
           t "corruption rejected descriptively" test_rejects_corruption;
+          QCheck_alcotest.to_alcotest damaged_file_rejected;
           t "schema skew drops entries as stale" test_schema_skew_drops_entries_as_stale;
           t "readonly never writes" test_readonly_never_writes;
         ] );

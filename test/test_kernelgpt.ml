@@ -425,6 +425,66 @@ let test_pipeline_booted_equals_fallback () =
       Alcotest.(check int) (a.o_entry ^ " tokens") b.o_tokens a.o_tokens)
     (outcomes kernel) (outcomes elsewhere)
 
+(* The oracle analyzes the declarations a snippet carries, not its
+   text. They must be what the text says: parsing every snippet the
+   extractor emits for a loaded entry gives back exactly its
+   declarations, up to statement ids and source locations. *)
+
+let rec strip_block b = List.map strip_stmt b
+
+and strip_stmt (s : Csrc.Ast.stmt) : Csrc.Ast.stmt =
+  let node =
+    match s.node with
+    | Csrc.Ast.If (c, t, e) -> Csrc.Ast.If (c, strip_block t, Option.map strip_block e)
+    | Csrc.Ast.Switch (c, cases) ->
+        let strip_case (k : Csrc.Ast.switch_case) =
+          { k with case_body = strip_block k.case_body }
+        in
+        Csrc.Ast.Switch (c, List.map strip_case cases)
+    | Csrc.Ast.While (c, b) -> Csrc.Ast.While (c, strip_block b)
+    | Csrc.Ast.Do_while (b, c) -> Csrc.Ast.Do_while (strip_block b, c)
+    | Csrc.Ast.For (a, b, c, body) -> Csrc.Ast.For (a, b, c, strip_block body)
+    | Csrc.Ast.Block b -> Csrc.Ast.Block (strip_block b)
+    | n -> n
+  in
+  { sid = 0; sloc = Csrc.Loc.dummy; node }
+
+let strip_decl : Csrc.Ast.decl -> Csrc.Ast.decl = function
+  | Csrc.Ast.D_func f ->
+      Csrc.Ast.D_func { f with fun_body = strip_block f.fun_body; fun_loc = Csrc.Loc.dummy }
+  | Csrc.Ast.D_composite c -> Csrc.Ast.D_composite { c with comp_loc = Csrc.Loc.dummy }
+  | Csrc.Ast.D_enum e -> Csrc.Ast.D_enum { e with enum_loc = Csrc.Loc.dummy }
+  | Csrc.Ast.D_global g -> Csrc.Ast.D_global { g with global_loc = Csrc.Loc.dummy }
+  | Csrc.Ast.D_macro m -> Csrc.Ast.D_macro { m with macro_loc = Csrc.Loc.dummy }
+  | Csrc.Ast.D_typedef t -> Csrc.Ast.D_typedef { t with td_loc = Csrc.Loc.dummy }
+
+let test_snippet_text_parses_to_its_decls () =
+  let kernel = Lazy.force loaded_kernel in
+  let checked = ref 0 in
+  let check entry (snip : Prompt.snippet) =
+    incr checked;
+    let parsed = Prompt.snippet_of_text ~name:snip.snip_name snip.snip_text in
+    if List.map strip_decl parsed.snip_decls <> List.map strip_decl snip.snip_decls then
+      Alcotest.failf "%s: snippet %s does not parse back to its declarations:\n%s" entry
+        snip.snip_name snip.snip_text
+  in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      let idx = Kernelgpt.Extractor.entry_index ~kernel e in
+      let names =
+        List.concat_map (fun (f : Csrc.Ast.file) -> List.map Csrc.Ast.decl_name f.decls) idx.files
+        |> List.sort_uniq String.compare
+      in
+      List.iter
+        (fun name -> Option.iter (check e.name) (Kernelgpt.Extractor.snippet idx name))
+        names;
+      let macros = Kernelgpt.Extractor.module_macros_snippet idx in
+      Alcotest.(check bool) (e.name ^ " carries its macros") true
+        (macros.snip_text = "" || macros.snip_decls <> []);
+      check e.name macros)
+    (Corpus.Registry.loaded ());
+  Alcotest.(check bool) "every loaded entry's snippets checked" true (!checked > 1000)
+
 let () =
   let t n f = Alcotest.test_case n `Quick f in
   Alcotest.run "kernelgpt"
@@ -468,5 +528,6 @@ let () =
           t "socket kind" test_extractor_socket_kind;
           t "booted index equals parse" test_entry_index_equals_parse;
           t "pipeline booted equals fallback" test_pipeline_booted_equals_fallback;
+          t "snippet text parses to its decls" test_snippet_text_parses_to_its_decls;
         ] );
     ]

@@ -13,7 +13,7 @@ let dm_kernel = lazy (kernel_of [ Corpus.Drv_dm.source ])
 
 let snippet idx name =
   match Csrc.Index.extract_source idx name with
-  | Some text -> { Prompt.snip_name = name; snip_text = text }
+  | Some text -> Prompt.snippet_of_text ~name text
   | None -> Alcotest.failf "no source for %s" name
 
 let query ?(profile = Profile.gpt4) idx task snippets usage =
@@ -156,7 +156,7 @@ let test_dependency_analysis () =
 let test_socket_triple () =
   let idx = kernel_of [ Corpus.Sock_rds.source ] in
   let macros =
-    { Prompt.snip_name = "macros"; snip_text = "#define AF_RDS 21\n" }
+    Prompt.snippet_of_text ~name:"macros" "#define AF_RDS 21\n"
   in
   let _, resp =
     query idx (Prompt.Socket_triple { ops_symbol = "rds_proto_ops" })
@@ -166,6 +166,21 @@ let test_socket_triple () =
   | Some (21, _, _) -> ()
   | Some (d, _, _) -> Alcotest.failf "wrong domain %d" d
   | None -> Alcotest.fail "no triple inferred"
+
+let test_answers_from_declarations () =
+  (* the oracle analyzes what a snippet declares and parses no text:
+     blanking the text changes no answer, and a snippet that declares
+     nothing shows nothing, whatever its text says *)
+  let idx = Lazy.force dm_kernel in
+  let s = snippet idx "lookup_ioctl" in
+  let task = Prompt.Identifier_deduction { handler_fn = "lookup_ioctl" } in
+  let cmds (resp : Prompt.response) = List.map (fun i -> i.Prompt.id_cmd) resp.r_idents in
+  let _, full = query idx task [ s ] [] in
+  Alcotest.(check bool) "the handler's commands are found" true (cmds full <> []);
+  let _, blank = query idx task [ { s with Prompt.snip_text = "" } ] [] in
+  Alcotest.(check (list string)) "blank text, same answer" (cmds full) (cmds blank);
+  let _, bare = query idx task [ { s with Prompt.snip_decls = [] } ] [] in
+  Alcotest.(check (list string)) "no declarations, nothing seen" [] (cmds bare)
 
 let test_context_truncation () =
   let idx = Lazy.force dm_kernel in
@@ -204,7 +219,7 @@ let test_truncation_charges_usage () =
      lines — a long usage list pushed the real prompt far past the
      context window without dropping anything *)
   let profile = { Profile.gpt4 with Profile.context_tokens = 200; name = "tiny200" } in
-  let s = { Prompt.snip_name = "s"; snip_text = String.make 400 'x' } in
+  let s = Prompt.snippet_of_text ~name:"s" (String.make 400 'x') in
   let base =
     {
       Prompt.task = Prompt.Identifier_deduction { handler_fn = "s" };
@@ -326,6 +341,7 @@ let () =
         ] );
       ("deps", [ t "anon fd dependency" test_dependency_analysis ]);
       ("socket", [ t "triple inference" test_socket_triple ]);
+      ("prompt", [ t "answers from declarations" test_answers_from_declarations ]);
       ( "limits",
         [
           t "context truncation" test_context_truncation;
