@@ -590,7 +590,7 @@ let run ?(mode = Iterative) ?client ~(oracle : Oracle.t) ~(kernel : Csrc.Index.t
   let client = match client with Some c -> c | None -> Client.pass_through oracle in
   (* module boundary: drop the client's transient state (virtual clock,
      breaker, consecutive failures) so fault handling depends only on
-     this module's own queries — never on which modules this worker
+     this module's own queries — never on which modules this client
      happened to serve before — keeping sharded fault-injected runs
      byte-identical for any --jobs value *)
   if Client.fault_tolerant client then Client.reset_transients client;

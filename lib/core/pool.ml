@@ -102,7 +102,6 @@ type summary = {
   s_steals : int;
   s_retries : int;
   s_quarantined : int;
-  s_worker_deaths : int;
   s_flagged : int;
   s_faults_injected : int;
   s_stalls : int;
@@ -128,7 +127,6 @@ let pool_runs : (int * int * float) list ref = ref []  (* tasks, workers, wall *
 let g_steals = Atomic.make 0
 let g_retries = Atomic.make 0
 let g_quarantined = Atomic.make 0
-let g_worker_deaths = Atomic.make 0
 let g_flagged = Atomic.make 0
 let g_injected = Atomic.make 0
 let g_stalls = Atomic.make 0
@@ -146,7 +144,7 @@ let reset_stats () =
       pool_runs := []);
   List.iter
     (fun c -> Atomic.set c 0)
-    [ g_steals; g_retries; g_quarantined; g_worker_deaths; g_flagged; g_injected; g_stalls ]
+    [ g_steals; g_retries; g_quarantined; g_flagged; g_injected; g_stalls ]
 
 let by_slowest a b = compare b.tm_seconds a.tm_seconds
 
@@ -175,7 +173,6 @@ let stats () : summary =
         s_steals = Atomic.get g_steals;
         s_retries = Atomic.get g_retries;
         s_quarantined = Atomic.get g_quarantined;
-        s_worker_deaths = Atomic.get g_worker_deaths;
         s_flagged = Atomic.get g_flagged;
         s_faults_injected = Atomic.get g_injected;
         s_stalls = Atomic.get g_stalls;
@@ -191,16 +188,12 @@ let report ?(per_task = false) oc =
     Printf.fprintf oc
       "[pool] %d tasks on up to %d workers: %.2fs task time in %.2fs wall (%.2fx speedup)\n"
       s.s_tasks s.s_workers s.s_busy_seconds s.s_wall_seconds speedup;
-    if
-      s.s_faults_injected + s.s_retries + s.s_quarantined + s.s_steals
-      + s.s_worker_deaths + s.s_flagged
-      > 0
+    if s.s_faults_injected + s.s_retries + s.s_quarantined + s.s_steals + s.s_flagged > 0
     then
       Printf.fprintf oc
         "[pool] resilience: %d injected faults (%d stalls), %d retries, %d quarantined, \
-         %d steals, %d worker deaths, %d straggler flags\n"
-        s.s_faults_injected s.s_stalls s.s_retries s.s_quarantined s.s_steals
-        s.s_worker_deaths s.s_flagged;
+         %d steals, %d straggler flags\n"
+        s.s_faults_injected s.s_stalls s.s_retries s.s_quarantined s.s_steals s.s_flagged;
     if per_task then begin
       if s.s_timings_dropped > 0 then
         Printf.fprintf oc "[pool]   (%d slowest attempts shown; %d dropped from the log)\n"
@@ -269,7 +262,7 @@ let pop_back d =
           Some i)
 
 let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?faults
-    ~(init : unit -> 'w) ~(f : 'w -> 'a -> 'b) (items : 'a array) : 'b outcome array =
+    ~(f : 'a -> 'b) (items : 'a array) : 'b outcome array =
   let n = Array.length items in
   if n = 0 then [||]
   else
@@ -302,7 +295,6 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
     let inflight : (int * float) option Atomic.t array =
       Array.init workers (fun _ -> Atomic.make None)
     in
-    let deaths : (exn * Printexc.raw_backtrace) option array = Array.make workers None in
     let wtimes : timing list array = Array.make workers [] in
     let flag_task i =
       if not (Atomic.exchange flagged.(i) true) then begin
@@ -327,7 +319,7 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
        bookkeeping — happens inside the task span, so trace events get
        deterministic ids and no exception ever escapes to the worker
        loop. *)
-    let run_attempt ~worker st i =
+    let run_attempt ~worker i =
       let lbl = label i items.(i) in
       let attempt = attempts.(i) in
       attempts.(i) <- attempt + 1;
@@ -367,11 +359,11 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
                     Atomic.incr g_stalls;
                     Obs.Metrics.incr "pool.stalls";
                     flag_task i;
-                    match f st items.(i) with
+                    match f items.(i) with
                     | v -> `Res v
                     | exception e -> `Err (e, Printexc.get_raw_backtrace ())))
             | None -> (
-                match f st items.(i) with
+                match f items.(i) with
                 | v -> `Res v
                 | exception e -> `Err (e, Printexc.get_raw_backtrace ()))
           in
@@ -419,8 +411,8 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
                 `Requeue
               end)
     in
-    let execute ~worker st i =
-      match run_attempt ~worker st i with
+    let execute ~worker i =
+      match run_attempt ~worker i with
       | `Resolved -> Atomic.decr pending
       | `Requeue ->
           (* head of the next worker's deque: with more than one worker
@@ -442,36 +434,29 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
       scan 1
     in
     let worker_loop w () =
-      match init () with
-      | exception e ->
-          (* this worker dies alone; survivors steal its deque dry *)
-          deaths.(w) <- Some (e, Printexc.get_raw_backtrace ());
-          Atomic.incr g_worker_deaths;
-          Obs.Metrics.incr "pool.worker_deaths"
-      | st ->
-          let spins = ref 0 in
-          let rec loop () =
-            match pop_front deques.(w) with
+      let spins = ref 0 in
+      let rec loop () =
+        match pop_front deques.(w) with
+        | Some i ->
+            execute ~worker:w i;
+            loop ()
+        | None -> (
+            match steal w with
             | Some i ->
-                execute ~worker:w st i;
+                execute ~worker:w i;
                 loop ()
-            | None -> (
-                match steal w with
-                | Some i ->
-                    execute ~worker:w st i;
-                    loop ()
-                | None ->
-                    if Atomic.get pending > 0 then begin
-                      incr spins;
-                      if !spins land 1023 = 0 then begin
-                        watchdog_scan ();
-                        Unix.sleepf 0.0002
-                      end
-                      else Domain.cpu_relax ();
-                      loop ()
-                    end)
-          in
-          loop ()
+            | None ->
+                if Atomic.get pending > 0 then begin
+                  incr spins;
+                  if !spins land 1023 = 0 then begin
+                    watchdog_scan ();
+                    Unix.sleepf 0.0002
+                  end
+                  else Domain.cpu_relax ();
+                  loop ()
+                end)
+      in
+      loop ()
     in
     if workers = 1 then
       (* sequential fast path: same loop, no domain spawned *)
@@ -480,48 +465,16 @@ let map_outcomes ?(jobs = 1) ?label ?(retries = default_retries) ?deadline_s ?fa
       let domains = List.init workers (fun w -> Domain.spawn (worker_loop w)) in
       List.iter Domain.join domains
     end;
-    (* tasks no surviving worker could run (every worker died): fail
-       them with the first death, lowest worker index — deterministic *)
-    let first_death =
-      let rec find w = if w >= workers then None else
-          match deaths.(w) with Some _ as d -> d | None -> find (w + 1)
-      in
-      find 0
-    in
-    let unresolved = ref 0 in
-    for i = 0 to n - 1 do
-      if results.(i) = None then begin
-        incr unresolved;
-        match first_death with
-        | Some (e, bt) ->
-            results.(i) <- Some (Failed { f_exn = e; f_backtrace = bt; f_attempts = 0 })
-        | None ->
-            (* unreachable: a live worker never abandons a task *)
-            results.(i) <-
-              Some
-                (Failed
-                   {
-                     f_exn =
-                       Failure
-                         (Printf.sprintf "Pool: task %d (%s) was never run" i
-                            (label i items.(i)));
-                     f_backtrace = Printexc.get_callstack 0;
-                     f_attempts = 0;
-                   })
-      end
-    done;
-    if !unresolved > 0 then begin
-      Atomic.fetch_and_add g_quarantined !unresolved |> ignore;
-      Obs.Metrics.incr ~by:!unresolved "pool.quarantined"
-    end;
     let run_timings =
       Array.fold_left (fun acc l -> List.rev_append l acc) [] wtimes
     in
     finish_run ~t_start ~workers ~tasks:n run_timings;
+    (* every worker loops until [pending] reaches zero, so every task
+       has resolved by the time the domains are joined *)
     Array.map (function Some o -> o | None -> assert false) results
 
-let map_init ?jobs ?label ?retries ?deadline_s ?faults ~init ~f items =
-  let outs = map_outcomes ?jobs ?label ?retries ?deadline_s ?faults ~init ~f items in
+let map ?jobs ?label ?retries ?deadline_s ?faults f items =
+  let outs = map_outcomes ?jobs ?label ?retries ?deadline_s ?faults ~f items in
   (* all tasks ran to resolution first (no early abort); only then is
      the lowest-index quarantined task's exception re-raised, so the
      choice never depends on which worker failed first *)
@@ -531,7 +484,3 @@ let map_init ?jobs ?label ?retries ?deadline_s ?faults ~init ~f items =
       | Ok _ -> ())
     outs;
   Array.map (function Ok v -> v | Failed _ -> assert false) outs
-
-let map ?jobs ?label ?retries ?deadline_s ?faults f items =
-  map_init ?jobs ?label ?retries ?deadline_s ?faults ~init:(fun () -> ())
-    ~f:(fun () x -> f x) items

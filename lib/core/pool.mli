@@ -11,18 +11,18 @@
     steals from the tail of a sibling's deque when it runs dry. Failure
     is isolated per task: an attempt that raises is retried a bounded
     number of times (requeued at the head of the {e next} worker's
-    deque, so a different domain picks it up), a task that exhausts its
-    retry budget is {e quarantined} — reported as a {!Failed} outcome
-    instead of killing the run — and a worker domain whose [init] raises
-    dies alone, degrading the pool to the survivors, whose stealing
-    drains the dead worker's deque.
+    deque, so a different domain picks it up), and a task that exhausts
+    its retry budget is {e quarantined} — reported as a {!Failed}
+    outcome instead of killing the run.
 
-    Workers share nothing: any mutable state a task needs (an
-    [Oracle.t], a [Vkernel.Machine.t]) must be built by the worker
-    itself via [init]. Per-attempt wall-clock timings are accumulated in
-    a global, mutex-protected log for the end-of-run speedup report; the
-    log is bounded (top slowest kept, aggregate counters stay exact —
-    see {!summary.s_timings_dropped}).
+    Workers keep no state of their own: a task builds the mutable state
+    it needs (an [Oracle.t], a campaign) and may read shared data that
+    nothing writes while the pool runs, such as a booted
+    [Vkernel.Machine.t] whose JIT was forced before the pool started.
+    Per-attempt wall-clock timings are accumulated in a global,
+    mutex-protected log for the end-of-run speedup report; the log is
+    bounded (top slowest kept, aggregate counters stay exact — see
+    {!summary.s_timings_dropped}).
 
     {b Determinism contract.} Task outcomes depend only on the task
     function and the fault plan, never on scheduling: with faults off,
@@ -30,8 +30,8 @@
     plan, injected faults are a pure hash of [(seed, label, attempt)],
     so outcomes (and every count derived from them: injections, retries,
     stalls, quarantines) are identical for any [jobs] and across resumed
-    runs. The exceptions are {!summary.s_steals}, [s_worker_deaths], and
-    [s_flagged] (real stragglers), which depend on actual scheduling —
+    runs. The exceptions are {!summary.s_steals} and [s_flagged] (real
+    stragglers), which depend on actual scheduling —
     they are reported on [stderr]/metrics only, never on stdout. Labels
     must be unique within a run for the fault plan to be well-defined;
     every caller's labels (and the ["task-<i>"] default) are. *)
@@ -117,7 +117,6 @@ type summary = {
   s_steals : int;  (** tasks taken from a sibling's deque (stderr-only) *)
   s_retries : int;  (** failed attempts that were requeued *)
   s_quarantined : int;  (** tasks that exhausted their retry budget *)
-  s_worker_deaths : int;  (** workers whose [init] raised (stderr-only) *)
   s_flagged : int;  (** attempts flagged by the deadline watchdog *)
   s_faults_injected : int;  (** injected crashes + stalls *)
   s_stalls : int;  (** injected stalls among them *)
@@ -126,10 +125,9 @@ type summary = {
           counters above remain exact *)
 }
 
-(** [map_outcomes ~jobs ~init ~f items] runs every task to a per-task
-    {!outcome}, in input order. Each worker first builds private state
-    with [init]; every attempt it executes receives that state. A task
-    whose attempt raises is retried up to [retries] more times (default
+(** [map_outcomes ~jobs ~f items] runs [f] on every item to a per-task
+    {!outcome}, in input order. A task whose attempt raises is retried
+    up to [retries] more times (default
     {!default_retries}), each retry requeued so another worker can pick
     it up; a task that exhausts the budget comes back as [Failed] with
     the last exception, backtrace, and attempt count. [deadline_s] arms
@@ -143,29 +141,16 @@ val map_outcomes :
   ?retries:int ->
   ?deadline_s:float ->
   ?faults:Faults.plan ->
-  init:(unit -> 'w) ->
-  f:('w -> 'a -> 'b) ->
+  f:('a -> 'b) ->
   'a array ->
   'b outcome array
 
-(** [map_init] is {!map_outcomes} for callers that need every task to
-    succeed: after the pool fully drains (all tasks resolved, retries
-    included — no early abort), if any task was quarantined the
+(** [map ~jobs f items] is {!map_outcomes} for callers that need every
+    task to succeed: after the pool fully drains (all tasks resolved,
+    retries included — no early abort), if any task was quarantined the
     {e lowest-index} quarantined task's exception is re-raised with its
     backtrace. The choice is deterministic: it depends on task indices,
     never on which worker failed first. *)
-val map_init :
-  ?jobs:int ->
-  ?label:(int -> 'a -> string) ->
-  ?retries:int ->
-  ?deadline_s:float ->
-  ?faults:Faults.plan ->
-  init:(unit -> 'w) ->
-  f:('w -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map ~jobs f items] is {!map_init} with unit worker state. *)
 val map :
   ?jobs:int ->
   ?label:(int -> 'a -> string) ->
@@ -188,8 +173,8 @@ val stats : unit -> summary
 val timings : unit -> timing list
 
 (** Print the run summary (tasks, workers, busy vs wall time, speedup,
-    and — when any occurred — steals, retries, quarantines, worker
-    deaths, and straggler flags) and, with [per_task], the surviving
+    and — when any occurred — steals, retries, quarantines and
+    straggler flags) and, with [per_task], the surviving
     per-attempt wall-clocks. The runner sends this to [stderr] so table
     output on [stdout] stays byte-identical to a sequential run. *)
 val report : ?per_task:bool -> out_channel -> unit

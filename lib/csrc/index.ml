@@ -25,9 +25,12 @@ type t = {
   ident_cache : (string, ident_const) Hashtbl.t;
       (** memoized identifier-constant lookups (enums, macros, strings) *)
   all_macro_values_cache : (string * int64) list option ref;
-      (** memoized {!all_macro_values} result — per index, so worker
-          domains (each with its own index) never share the slot and two
+      (** memoized {!all_macro_values} result — per index, so two
           alternating indexes never evict each other *)
+  memo_lock : Mutex.t;
+      (** guards the three memo tables above, so domains can share one
+          index: held only around a probe or an insert, never while a
+          value is evaluated (evaluation recurses into the memos) *)
 }
 
 let empty () =
@@ -43,6 +46,7 @@ let empty () =
     macro_value_cache = Hashtbl.create 1024;
     ident_cache = Hashtbl.create 1024;
     all_macro_values_cache = ref None;
+    memo_lock = Mutex.create ();
   }
 
 let add_file t (f : Ast.file) : t =
@@ -298,10 +302,15 @@ and eval_builtin t name args : int64 =
 
 let eval_opt t e = try Some (eval t e) with Not_const _ -> None
 
+(* Memo access under the index's lock. Two domains that miss the same
+   key both evaluate it; the values are equal (definitions never change
+   after indexing), so whichever insert lands last is as good. *)
+let locked t f = Mutex.protect t.memo_lock f
+
 (** Evaluate a macro by name, if it denotes an integer constant.
     Memoized: macro definitions never change after indexing. *)
 let eval_macro t name =
-  match Hashtbl.find_opt t.macro_value_cache name with
+  match locked t (fun () -> Hashtbl.find_opt t.macro_value_cache name) with
   | Some v -> v
   | None ->
       let v =
@@ -310,16 +319,14 @@ let eval_macro t name =
         | Some md -> (
             try Some (eval t (macro_expr t md)) with Not_const _ | Parser.Error _ -> None)
       in
-      Hashtbl.replace t.macro_value_cache name v;
+      locked t (fun () -> Hashtbl.replace t.macro_value_cache name v);
       v
 
 (** All macros of this index that evaluate to an integer constant.
     Memoized per index (definitions never change after indexing), so
-    worker domains — each owning its own index — never contend on a
-    shared slot, and two indexes used alternately keep their own
-    results. *)
+    two indexes used alternately keep their own results. *)
 let all_macro_values t : (string * int64) list =
-  match !(t.all_macro_values_cache) with
+  match locked t (fun () -> !(t.all_macro_values_cache)) with
   | Some vs -> vs
   | None ->
       let vs =
@@ -328,7 +335,7 @@ let all_macro_values t : (string * int64) list =
             match eval_macro t name with Some v -> (name, v) :: acc | None -> acc)
           t.macros []
       in
-      t.all_macro_values_cache := Some vs;
+      locked t (fun () -> t.all_macro_values_cache := Some vs);
       vs
 
 (** A macro that expands to a string constant (device names, paths). *)
@@ -371,7 +378,7 @@ let rec eval_string t (e : Ast.expr) : string option =
 (** Memoized constant lookup for a bare identifier: enum item, integer
     macro, or string macro — the interpreter's hottest path. *)
 let ident_const (t : t) (name : string) : ident_const =
-  match Hashtbl.find_opt t.ident_cache name with
+  match locked t (fun () -> Hashtbl.find_opt t.ident_cache name) with
   | Some v -> v
   | None ->
       let v =
@@ -383,7 +390,7 @@ let ident_const (t : t) (name : string) : ident_const =
             | None -> (
                 match string_macro t name with Some s -> C_str s | None -> C_none))
       in
-      Hashtbl.replace t.ident_cache name v;
+      locked t (fun () -> Hashtbl.replace t.ident_cache name v);
       v
 
 (** The definition of [name] a prompt shows, by precedence: a function

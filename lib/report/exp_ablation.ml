@@ -14,19 +14,19 @@ type variant_result = {
   v_dropped : int;  (** drivers quarantined by the pool *)
 }
 
-(* Each driver is an independent pool task: the worker boots the
-   driver's machine, runs the pipeline, and fuzzes the resulting spec.
-   Per-driver partials fold in registry order, so the floating-point
-   coverage sum matches the sequential loop exactly. *)
-let measure ~(name : string) ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.mode)
-    ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache () : variant_result =
+(* Each driver is an independent pool task: it runs the pipeline on
+   the driver's machine (booted once for every variant) and fuzzes the
+   resulting spec. Per-driver partials fold in registry order, so the
+   floating-point coverage sum matches the sequential loop exactly. *)
+let measure ~(machines : (string, Vkernel.Machine.t) Hashtbl.t) ~(name : string)
+    ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.mode) ?(reps = 2) ?(budget = 3000)
+    ?(jobs = 1) ?cache () : variant_result =
   let drivers = Array.of_list (Corpus.Registry.ablation_drivers ()) in
   let partials =
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ (e : Corpus.Types.entry) -> Printf.sprintf "ablation:%s:%s" name e.name)
-      ~init:(fun () -> ())
-      ~f:(fun () (e : Corpus.Types.entry) ->
-        let machine = Vkernel.Machine.boot [ e ] in
+      ~f:(fun (e : Corpus.Types.entry) ->
+        let machine = Hashtbl.find machines e.name in
         let kernel = machine.Vkernel.Machine.index in
         let oracle = Oracle.create ~profile ~knowledge:kernel () in
         (* without a cache this client is a plain pass-through *)
@@ -85,7 +85,8 @@ let measure ~(name : string) ~(profile : Profile.t) ~(mode : Kernelgpt.Pipeline.
 type ablation = { iter_rows : variant_result list; llm_rows : variant_result list }
 
 let run ?(reps = 2) ?(budget = 3000) ?(jobs = 1) ?cache () : ablation =
-  let m = measure ~reps ~budget ~jobs ?cache in
+  let machines = Suites.boot_each (Corpus.Registry.ablation_drivers ()) in
+  let m = measure ~machines ~reps ~budget ~jobs ?cache in
   {
     iter_rows =
       [
@@ -163,52 +164,42 @@ let run_sched ?(budget = 20_000) ?(seeds = 3) ?(jobs = 1) (ctx : Suites.ctx) :
          (fun m -> [ (m, Fuzzer.Schedule.Uniform); (m, Fuzzer.Schedule.Ucb) ])
          modules)
   in
+  let machines = Suites.boot_each (List.map Corpus.Registry.find_exn modules) in
   let results =
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ (m, mode) ->
         Printf.sprintf "ablation-sched:%s:%s" m (Fuzzer.Schedule.mode_to_string mode))
-      ~init:(fun () -> Hashtbl.create 8)
-      ~f:(fun cache (m, mode) ->
-        match Corpus.Registry.find m with
-        | None -> (None, 0.0, 0)
-        | Some entry ->
-            let machine =
-              match Hashtbl.find_opt cache m with
-              | Some mc -> mc
-              | None ->
-                  let mc = Vkernel.Machine.boot [ entry ] in
-                  Hashtbl.replace cache m mc;
-                  mc
-            in
-            let spec = Suites.module_suite ctx m in
-            (* TTC scores the module's Table 4 *injected* bugs only:
-               campaigns also surface shallow emergent crashes within a
-               handful of executions, which would saturate the metric *)
-            let injected =
-              List.filter_map
-                (fun (b : Corpus.Types.bug) ->
-                  if b.bug_module = m then Some b.bug_title else None)
-                Corpus.Registry.bugs
-            in
-            let ttc = ref None in
-            let cov = ref 0.0 in
-            let execs = ref 0 in
-            for s = 1 to seeds do
-              let res =
-                Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ~sched:mode
-                  ~machine spec
-              in
-              execs := !execs + res.executions;
-              cov := !cov +. float_of_int (Fuzzer.Campaign.module_coverage machine res m);
-              List.iter
-                (fun (title, e) ->
-                  if List.mem title injected then
-                    match !ttc with
-                    | Some best when best <= e -> ()
-                    | _ -> ttc := Some e)
-                res.first_crash_execs
-            done;
-            (!ttc, !cov /. float_of_int (max 1 seeds), !execs))
+      ~f:(fun (m, mode) ->
+        let machine = Hashtbl.find machines m in
+        let spec = Suites.module_suite ctx m in
+        (* TTC scores the module's Table 4 *injected* bugs only:
+           campaigns also surface shallow emergent crashes within a
+           handful of executions, which would saturate the metric *)
+        let injected =
+          List.filter_map
+            (fun (b : Corpus.Types.bug) ->
+              if b.bug_module = m then Some b.bug_title else None)
+            Corpus.Registry.bugs
+        in
+        let ttc = ref None in
+        let cov = ref 0.0 in
+        let execs = ref 0 in
+        for s = 1 to seeds do
+          let res =
+            Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ~sched:mode
+              ~machine spec
+          in
+          execs := !execs + res.executions;
+          cov := !cov +. float_of_int (Fuzzer.Campaign.module_coverage machine res m);
+          List.iter
+            (fun (title, e) ->
+              if List.mem title injected then
+                match !ttc with
+                | Some best when best <= e -> ()
+                | _ -> ttc := Some e)
+            res.first_crash_execs
+        done;
+        (!ttc, !cov /. float_of_int (max 1 seeds), !execs))
       tasks
   in
   let find_mode m mode =

@@ -20,36 +20,17 @@ type table4 = {
   t4_exec : Exp_resilience.exec_totals;  (** executor-supervisor totals *)
 }
 
-let fuzz_module ?(cache : (string, Vkernel.Machine.t) Hashtbl.t option) ~(budget : int)
-    ~(seeds : int) ?supervisor ?sched (name : string) (spec : Syzlang.Ast.spec) :
-    (string, unit) Hashtbl.t * Exp_resilience.exec_totals =
+let fuzz_module ~(machine : Vkernel.Machine.t) ~(budget : int) ~(seeds : int) ?supervisor
+    ?sched (spec : Syzlang.Ast.spec) : (string, unit) Hashtbl.t * Exp_resilience.exec_totals =
   let titles = Hashtbl.create 8 in
   let exec = ref Exp_resilience.exec_empty in
-  (match Corpus.Registry.find name with
-  | None -> ()
-  | Some entry ->
-      (* boot is deterministic and the machine is read-only after it, so
-         a worker reuses one machine per module across the three suite
-         families instead of re-booting (and re-JITting) each time *)
-      let machine =
-        match cache with
-        | None -> Vkernel.Machine.boot [ entry ]
-        | Some cache -> (
-            match Hashtbl.find_opt cache name with
-            | Some m -> m
-            | None ->
-                let m = Vkernel.Machine.boot [ entry ] in
-                Hashtbl.replace cache name m;
-                m)
-      in
-      for s = 1 to seeds do
-        let res =
-          Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ?supervisor ?sched ~machine
-            spec
-        in
-        exec := Exp_resilience.exec_add !exec res;
-        Hashtbl.iter (fun t _ -> Hashtbl.replace titles t ()) res.crashes
-      done);
+  for s = 1 to seeds do
+    let res =
+      Fuzzer.Campaign.run ~seed:(s * 1299721) ~budget ?supervisor ?sched ~machine spec
+    in
+    exec := Exp_resilience.exec_add !exec res;
+    Hashtbl.iter (fun t _ -> Hashtbl.replace titles t ()) res.crashes
+  done;
   (titles, !exec)
 
 let table4 ?(budget = 30_000) ?(seeds = 3) ?(jobs = 1) ?supervisor ?sched
@@ -74,12 +55,13 @@ let table4 ?(budget = 30_000) ?(seeds = 3) ?(jobs = 1) ?supervisor ?sched
            List.filter_map (fun m -> Option.map (fun s -> (tag, m, s)) (suite_of m)) modules)
          families)
   in
+  (* one machine per module, shared by its three suite families *)
+  let machines = Suites.boot_each (List.map Corpus.Registry.find_exn modules) in
   let results =
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ (tag, m, _) -> Printf.sprintf "table4:%s:%s" tag m)
-      ~init:(fun () -> Hashtbl.create 8)
-      ~f:(fun cache (_, m, spec) ->
-        fuzz_module ~cache ~budget ~seeds ?supervisor ?sched m spec)
+      ~f:(fun (_, m, spec) ->
+        fuzz_module ~machine:(Hashtbl.find machines m) ~budget ~seeds ?supervisor ?sched spec)
       tasks
   in
   let degraded = Hashtbl.create 8 in

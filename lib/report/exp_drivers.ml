@@ -26,10 +26,8 @@ type table5 = {
 
 let na = { c_sys = None; c_cov = None; c_crash = 0.0; c_dropped = 0 }
 
-(* One pool task per (driver, suite, repetition). Workers cache one
-   booted machine per driver — [Vkernel.Machine.boot [entry]] is
-   deterministic, so every worker's machine assigns the same statement
-   ids and cells merge exactly regardless of which worker ran them. *)
+(* One pool task per (driver, suite, repetition), on one machine per
+   driver booted before the pool starts and shared by all its tasks. *)
 
 type task = {
   tk_entry : Corpus.Types.entry;
@@ -40,23 +38,24 @@ type task = {
   tk_budget : int;
 }
 
-let run_task ?sched (cache : (string, Vkernel.Machine.t) Hashtbl.t) (tk : task) :
-    float * float * int =
-  let machine =
-    match Hashtbl.find_opt cache tk.tk_entry.name with
-    | Some m -> m
-    | None ->
-        let m = Vkernel.Machine.boot [ tk.tk_entry ] in
-        Hashtbl.replace cache tk.tk_entry.name m;
-        m
-  in
-  let res =
-    Fuzzer.Campaign.run ~seed:(tk.tk_rep * tk.tk_seed_base) ~budget:tk.tk_budget
-      ?sched ~machine tk.tk_spec
-  in
-  ( float_of_int (Fuzzer.Campaign.module_coverage machine res tk.tk_entry.name),
-    float_of_int (Hashtbl.length res.crashes),
-    res.executions )
+(** Run every task, each on its driver's machine; outcomes come back in
+    task order. *)
+let run_tasks ~jobs ~(table : string) ?sched (tasks : task list) :
+    (float * float * int) Kernelgpt.Pool.outcome array =
+  let machines = Suites.boot_each (List.map (fun tk -> tk.tk_entry) tasks) in
+  Kernelgpt.Pool.map_outcomes ~jobs
+    ~label:(fun _ tk ->
+      Printf.sprintf "%s:%s:%s:rep%d" table tk.tk_entry.name tk.tk_suite tk.tk_rep)
+    ~f:(fun tk ->
+      let machine = Hashtbl.find machines tk.tk_entry.name in
+      let res =
+        Fuzzer.Campaign.run ~seed:(tk.tk_rep * tk.tk_seed_base) ~budget:tk.tk_budget
+          ?sched ~machine tk.tk_spec
+      in
+      ( float_of_int (Fuzzer.Campaign.module_coverage machine res tk.tk_entry.name),
+        float_of_int (Hashtbl.length res.crashes),
+        res.executions ))
+    (Array.of_list tasks)
 
 (** Fold [reps] per-repetition (coverage, crashes) outcomes into a cell,
     averaging the surviving repetitions in the same order the sequential
@@ -74,6 +73,25 @@ let cell_of_reps (spec : Syzlang.Ast.spec)
     c_crash = mean crashes;
     c_dropped = dropped;
   }
+
+(** Walk [results] in task-layout order, [reps] outcomes per cell: each
+    call folds the next cell of a spec that had tasks and returns [None]
+    for a spec that had none. Calls must follow the task layout, so
+    sequence them with [let]: record fields evaluate in unspecified
+    (right-to-left in practice) order. *)
+let cell_taker ~reps results : Syzlang.Ast.spec option -> cell option =
+  let cursor = ref 0 in
+  Option.map (fun spec ->
+      let per_rep = List.init reps (fun i -> results.(!cursor + i)) in
+      cursor := !cursor + reps;
+      cell_of_reps spec per_rep)
+
+(** Total executions over the tasks that completed. *)
+let total_execs results =
+  Array.fold_left
+    (fun acc r ->
+      match r with Kernelgpt.Pool.Ok (_, _, e) -> acc + e | Kernelgpt.Pool.Failed _ -> acc)
+    0 results
 
 let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
     table5 =
@@ -105,31 +123,17 @@ let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
           (specs_of e))
       entries
   in
-  let results =
-    Kernelgpt.Pool.map_outcomes ~jobs
-      ~label:(fun _ tk -> Printf.sprintf "table5:%s:%s:rep%d" tk.tk_entry.name tk.tk_suite tk.tk_rep)
-      ~init:(fun () -> Hashtbl.create 8)
-      ~f:(run_task ?sched) (Array.of_list tasks)
-  in
-  (* walk cells in the same order the tasks were laid out *)
-  let cursor = ref 0 in
-  let take spec =
-    match spec with
-    | None -> na
-    | Some spec ->
-        let per_rep = List.init reps (fun i -> results.(!cursor + i)) in
-        cursor := !cursor + reps;
-        cell_of_reps spec per_rep
+  let results = run_tasks ~jobs ~table:"table5" ?sched tasks in
+  let take =
+    let next = cell_taker ~reps results in
+    fun spec -> Option.value (next spec) ~default:na
   in
   let rows =
     List.map
       (fun (e : Corpus.Types.entry) ->
         match specs_of e with
         | [ (_, manual); (_, sd); (_, kg) ] ->
-            (* the cursor walks the task layout, so the takes must run
-               left-to-right — record fields evaluate in unspecified
-               (right-to-left in practice) order, which crossed the
-               syzkaller/kernelgpt columns *)
+            (* left-to-right, like the task layout *)
             let r_syzkaller = take manual in
             let r_syzdescribe = take sd in
             let r_kernelgpt = take kg in
@@ -149,13 +153,7 @@ let table5 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
   let rows = na_row "ashmem" :: na_row "fd#" :: rows in
   {
     driver_rows = List.sort (fun a b -> compare a.r_name b.r_name) rows;
-    t5_execs =
-      Array.fold_left
-        (fun acc r ->
-          match r with
-          | Kernelgpt.Pool.Ok (_, _, e) -> acc + e
-          | Kernelgpt.Pool.Failed _ -> acc)
-        0 results;
+    t5_execs = total_execs results;
   }
 
 (* degraded markers: "123*" = mean over the surviving repetitions only,

@@ -55,21 +55,18 @@ let table3 ?(reps = 3) ?(budget = 6000) ?(jobs = 1) ?supervisor ?sched
     |]
   in
   (* one task per (suite, repetition); each repetition is an independent
-     campaign, so the whole table shards across the pool. Workers boot a
-     private machine (the index memoizes during execution); coverage
-     statement ids are assigned by boot order over the same entry list,
-     so results merge exactly. *)
+     campaign on the context's one kernel, so the whole table shards
+     across the pool *)
   let tasks =
     Array.init
       (Array.length suites * reps)
       (fun i -> (i / reps, (i mod reps) + 1))
   in
+  let machine = Suites.shareable ctx.Suites.machine in
   let results =
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ (si, rep) -> Printf.sprintf "table3:%s:rep%d" (fst suites.(si)) rep)
-      ~init:(fun () ->
-        if jobs <= 1 then ctx.Suites.machine else Vkernel.Machine.boot ctx.entries)
-      ~f:(fun machine (si, rep) ->
+      ~f:(fun (si, rep) ->
         Fuzzer.Campaign.run ~seed:(rep * 7919) ~budget ?supervisor ?sched ~machine
           (snd suites.(si)))
       tasks

@@ -1,14 +1,11 @@
 (** E7: per-socket comparison — the paper's Table 6 (Syzkaller vs
     KernelGPT; SyzDescribe cannot analyze sockets). *)
 
-type cell = {
-  c_sys : int;
-  c_cov : float option;  (** mean over surviving reps; [None] if none survived *)
-  c_crash : float;
-  c_dropped : int;  (** repetitions quarantined by the pool *)
+type row = {
+  r_name : string;
+  r_syzkaller : Exp_drivers.cell option;
+  r_kernelgpt : Exp_drivers.cell option;
 }
-
-type row = { r_name : string; r_syzkaller : cell option; r_kernelgpt : cell option }
 
 type table6 = {
   socket_rows : row list;
@@ -16,8 +13,8 @@ type table6 = {
 }
 
 (* Sharded exactly like Table 5: one pool task per
-   (socket, suite, repetition), machines cached per worker, cells merged
-   in task-layout order (see Exp_drivers). *)
+   (socket, suite, repetition), one shared machine per socket, cells
+   merged in task-layout order (see Exp_drivers). *)
 
 let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
     table6 =
@@ -48,45 +45,14 @@ let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
           (specs_of e))
       entries
   in
-  let results =
-    Kernelgpt.Pool.map_outcomes ~jobs
-      ~label:(fun _ (tk : Exp_drivers.task) ->
-        Printf.sprintf "table6:%s:%s:rep%d" tk.tk_entry.name tk.tk_suite tk.tk_rep)
-      ~init:(fun () -> Hashtbl.create 8)
-      ~f:(Exp_drivers.run_task ?sched) (Array.of_list tasks)
-  in
-  let cursor = ref 0 in
-  let take spec =
-    match spec with
-    | None -> None
-    | Some spec ->
-        let per_rep = List.init reps (fun i -> results.(!cursor + i)) in
-        cursor := !cursor + reps;
-        let ok =
-          List.filter_map
-            (function Kernelgpt.Pool.Ok r -> Some r | Kernelgpt.Pool.Failed _ -> None)
-            per_rep
-        in
-        let dropped = List.length per_rep - List.length ok in
-        let covs = List.fold_left (fun acc (c, _, _) -> c :: acc) [] ok in
-        let crashes = List.fold_left (fun acc (_, x, _) -> x :: acc) [] ok in
-        let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs)) in
-        Some
-          {
-            c_sys = Syzlang.Ast.count_syscalls spec;
-            c_cov = (if ok = [] then None else Some (mean covs));
-            c_crash = mean crashes;
-            c_dropped = dropped;
-          }
-  in
+  let results = Exp_drivers.run_tasks ~jobs ~table:"table6" ?sched tasks in
+  let take = Exp_drivers.cell_taker ~reps results in
   let rows =
     List.map
       (fun (e : Corpus.Types.entry) ->
         match specs_of e with
         | [ (_, manual); (_, kg) ] ->
-            (* sequence the takes: the shared cursor makes evaluation
-               order significant, and record fields evaluate in
-               unspecified order *)
+            (* left-to-right, like the task layout *)
             let r_syzkaller = take manual in
             let r_kernelgpt = take kg in
             { r_name = e.display_name; r_syzkaller; r_kernelgpt }
@@ -100,21 +66,15 @@ let table6 ?(reps = 3) ?(budget = 4000) ?(jobs = 1) ?sched (ctx : Suites.ctx) :
   in
   {
     socket_rows = List.sort (fun a b -> compare a.r_name b.r_name) rows;
-    t6_execs =
-      Array.fold_left
-        (fun acc r ->
-          match r with
-          | Kernelgpt.Pool.Ok (_, _, e) -> acc + e
-          | Kernelgpt.Pool.Failed _ -> acc)
-        0 results;
+    t6_execs = Exp_drivers.total_execs results;
   }
 
 (* degraded markers: "123*" = mean over the surviving repetitions only,
    "?" = every repetition of the cell was quarantined *)
 let cell_strings = function
-  | Some c ->
+  | Some (c : Exp_drivers.cell) ->
       [
-        string_of_int c.c_sys;
+        string_of_int (Option.value c.c_sys ~default:0);
         (match (c.c_cov, c.c_dropped) with
         | Some f, 0 -> Printf.sprintf "%.0f" f
         | Some f, _ -> Printf.sprintf "%.0f*" f
@@ -123,7 +83,7 @@ let cell_strings = function
       ]
   | None -> [ "-"; "-"; "-" ]
 
-let cell_dropped = function Some c -> c.c_dropped | None -> 0
+let cell_dropped = function Some (c : Exp_drivers.cell) -> c.c_dropped | None -> 0
 
 let print_table6 (t : table6) =
   Table.section "Table 6: Socket specification comparison";
@@ -139,8 +99,10 @@ let print_table6 (t : table6) =
     List.fold_left
       (fun (s, c, x) r ->
         match f r with
-        | Some cell ->
-            (s + cell.c_sys, c +. Option.value cell.c_cov ~default:0.0, x +. cell.c_crash)
+        | Some (cell : Exp_drivers.cell) ->
+            ( s + Option.value cell.c_sys ~default:0,
+              c +. Option.value cell.c_cov ~default:0.0,
+              x +. cell.c_crash )
         | None -> (s, c, x))
       (0, 0.0, 0.0) t.socket_rows
   in

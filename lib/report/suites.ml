@@ -25,25 +25,54 @@ let generation_targets (entries : Corpus.Types.entry list) : Corpus.Types.entry 
       Baseline.Syzkaller_specs.is_incomplete e || e.in_table5 || e.in_table6)
     entries
 
+(** Boot a machine over [entries] inside a [report.boot] span that
+    records the module and statement-id counts. Every boot the report
+    makes goes through here. *)
+let boot (entries : Corpus.Types.entry list) : Vkernel.Machine.t =
+  let sids = ref 0 in
+  Obs.with_span ~kind:"report.boot"
+    ~attrs:(fun () ->
+      [ ("modules", Obs.Json.Int (List.length entries)); ("sids", Obs.Json.Int !sids) ])
+    (match entries with [ e ] -> e.name | _ -> "kernel")
+  @@ fun () ->
+  let m = Vkernel.Machine.boot entries in
+  sids := m.Vkernel.Machine.n_sids;
+  m
+
+(** Force [m]'s JIT. Nothing writes the machine afterwards, so the
+    tasks of a pool started later may all execute programs on it. *)
+let shareable (m : Vkernel.Machine.t) : Vkernel.Machine.t =
+  ignore (Lazy.force m.Vkernel.Machine.jit);
+  m
+
+(** One shareable machine per entry, each booted alone, keyed by entry
+    name: what a table that fuzzes modules in isolation boots before
+    its pool starts. *)
+let boot_each (entries : Corpus.Types.entry list) : (string, Vkernel.Machine.t) Hashtbl.t =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Corpus.Types.entry) ->
+      if not (Hashtbl.mem tbl e.name) then Hashtbl.replace tbl e.name (shareable (boot [ e ])))
+    entries;
+  tbl
+
 (** Build the shared context. [jobs > 1] shards the per-entry pipeline
-    runs over a domain pool; every worker gets a private definition
-    index over the booted kernel's files (the ASTs are immutable and
-    shared; the index's memo tables are not) and a private oracle (it
-    counts), and the outcomes are merged in entry order, so the context
-    is identical to a sequential build. A [faults] plan
+    runs over a domain pool. Every task reads the booted kernel's one
+    definition index and gets a private oracle (it counts); the
+    outcomes are merged in entry order, so the context is identical to
+    a sequential build. A [faults] plan
     and/or a [query_budget] route every pipeline query through a
     fault-tolerant {!Client} (the budget is one atomic counter shared by
-    all workers); with neither set the client is a pass-through and the
+    all tasks); with neither set the client is a pass-through and the
     build is bit-for-bit what it always was. A [cache] is shared by
-    every worker's client: any worker's oracle answer serves them all,
-    and on a warm cache the build performs no oracle queries at all
-    while reporting the cold run's costs ({!Cache.replay}). *)
+    every task's client: any task's oracle answer serves them all, and
+    on a warm cache the build performs no oracle queries at all while
+    reporting the cold run's costs ({!Cache.replay}). *)
 let build ?(profile = Profile.gpt4) ?(jobs = 1) ?faults ?query_budget ?cache () : ctx =
   let entries = Corpus.Registry.loaded () in
-  let machine = Vkernel.Machine.boot entries in
+  let machine = boot entries in
   let kernel = machine.Vkernel.Machine.index in
   let budget = Option.map Client.budget query_budget in
-  let client_of oracle = Client.create ?plan:faults ?query_budget:budget ?cache oracle in
   let oracle = Oracle.create ~profile ~knowledge:kernel () in
   let kgpt = Hashtbl.create 256 in
   let sd = Hashtbl.create 256 in
@@ -51,16 +80,12 @@ let build ?(profile = Profile.gpt4) ?(jobs = 1) ?faults ?query_budget ?cache () 
   let outcomes =
     Kernelgpt.Pool.map_outcomes ~jobs
       ~label:(fun _ (e : Corpus.Types.entry) -> "pipeline:" ^ e.name)
-      ~init:(fun () ->
-        (* every worker — the sequential one included — gets a private
-           oracle; accounting folds from the successful outcomes below,
-           so a retried attempt never double-counts queries or tokens *)
-        if jobs <= 1 then (client_of (Oracle.create ~profile ~knowledge:kernel ()), kernel)
-        else
-          let k = Csrc.Index.of_files kernel.Csrc.Index.files in
-          (client_of (Oracle.create ~profile ~knowledge:k ()), k))
-      ~f:(fun (client, kernel) (e : Corpus.Types.entry) ->
-        let oracle = Client.oracle client in
+      ~f:(fun (e : Corpus.Types.entry) ->
+        (* a private oracle per task; accounting folds from the
+           successful outcomes below, so a retried attempt never
+           double-counts queries or tokens *)
+        let oracle = Oracle.create ~profile ~knowledge:kernel () in
+        let client = Client.create ?plan:faults ?query_budget:budget ?cache oracle in
         (Kernelgpt.Pipeline.run ~client ~oracle ~kernel e, Baseline.Syzdescribe.run e))
       targets
   in

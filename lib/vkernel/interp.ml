@@ -33,14 +33,13 @@ type state = {
   globals : value Stbl.t;
   coverage : (int, unit) Hashtbl.t;
   layouts : layout Stbl.t;
-      (** memoized composite layout plans for {!typed_obj}: the field
-          walk, type classification and composite lookup happen once per
-          struct name, not once per instantiation. Owned by the machine
-          and shared across the per-execution states it creates. *)
+      (** composite layout plans for {!typed_obj}, one per struct name,
+          built once by {!layouts_of_index} and only read afterwards, so
+          every state of every domain can share one table *)
   frames : Pool.t;
-      (** free-list pool for the jit's per-call slot arrays. Owned by
-          the machine (like [layouts]) so steady-state execution reuses
-          frames across programs instead of allocating per guest call. *)
+      (** free-list pool for the jit's per-call slot arrays: scratch of
+          one campaign (its coverage sink) or of one execution, never
+          shared across domains *)
   mutable tracked_objs : obj list;  (** explicit allocations, for leak scan *)
   mutable next_oid : int;
   mutable steps : int;
@@ -73,7 +72,12 @@ and layout = { l_names : string array; l_fillers : filler array }
    recorder), so sharing it across states and domains is safe. *)
 let dead_coverage : (int, unit) Hashtbl.t = Hashtbl.create 1
 
-let create ~(index : Csrc.Index.t) ?layouts ?frames ?(step_budget = 200_000)
+(* The layout table of states created without one: never written, so
+   shared like [dead_coverage]; {!typed_obj} computes a missing plan on
+   the fly. *)
+let no_layouts : layout Stbl.t = Stbl.create 1
+
+let create ~(index : Csrc.Index.t) ?(layouts = no_layouts) ?frames ?(step_budget = 200_000)
     ?on_cover () =
   let coverage =
     match on_cover with Some _ -> dead_coverage | None -> Hashtbl.create 1024
@@ -83,7 +87,7 @@ let create ~(index : Csrc.Index.t) ?layouts ?frames ?(step_budget = 200_000)
       index;
       globals = Stbl.create 16;
       coverage;
-      layouts = (match layouts with Some l -> l | None -> Stbl.create 16);
+      layouts;
       frames = (match frames with Some f -> f | None -> Pool.create ());
       tracked_objs = [];
       next_oid = 1;
@@ -160,30 +164,27 @@ and filler_of (index : Csrc.Index.t) (ty : Csrc.Ast.ctype) : filler =
   | Csrc.Ast.Struct_ref name | Csrc.Ast.Union_ref name ->
       F_fill (fun st fn -> vptr (typed_obj st ~fn name))
 
-(** Object for a struct/union type, fields initialized per the layout.
-    The layout plan (field list, type classification, composite lookup)
-    is computed once per struct name and memoized in [st.layouts].
-    Field names are interned so every later probe on them takes the
+(** The layout plan of a struct/union: its field list, each field's
+    type classification and the composite lookup, done once. Field
+    names are interned so every later probe on them takes the
     {!Value.Stbl} pointer-compare fast path. *)
+and layout_of (index : Csrc.Index.t) (comp_name : string) : layout =
+  match Csrc.Index.find_composite index comp_name with
+  | Some cd ->
+      let fields = Array.of_list cd.fields in
+      {
+        l_names = Array.map (fun f -> intern f.Csrc.Ast.field_name) fields;
+        l_fillers = Array.map (fun f -> filler_of index f.Csrc.Ast.field_type) fields;
+      }
+  | None -> { l_names = [||]; l_fillers = [||] }
+
+(** Object for a struct/union type, fields initialized per the layout
+    plan in [st.layouts] (computed here when the table lacks it). *)
 and typed_obj st ~fn (comp_name : string) : obj =
   let layout =
     match Stbl.find_opt st.layouts comp_name with
     | Some l -> l
-    | None ->
-        let l =
-          match Csrc.Index.find_composite st.index comp_name with
-          | Some cd ->
-              let fields = Array.of_list cd.fields in
-              {
-                l_names =
-                  Array.map (fun f -> intern f.Csrc.Ast.field_name) fields;
-                l_fillers =
-                  Array.map (fun f -> filler_of st.index f.Csrc.Ast.field_type) fields;
-              }
-          | None -> { l_names = [||]; l_fillers = [||] }
-        in
-        Stbl.replace st.layouts comp_name l;
-        l
+    | None -> layout_of st.index comp_name
   in
   let nf = Array.length layout.l_names in
   if nf = 0 then
@@ -199,6 +200,15 @@ and typed_obj st ~fn (comp_name : string) : obj =
     done;
     new_obj st ~fn ~tracked:false (Typed { tnames = layout.l_names; tcells = cells })
   end
+
+(** The layout plan of every composite of [index]: a table that is
+    complete after this call, so executions only ever read it. *)
+let layouts_of_index (index : Csrc.Index.t) : layout Stbl.t =
+  let tbl = Stbl.create (Hashtbl.length index.Csrc.Index.composites) in
+  Hashtbl.iter
+    (fun name _ -> Stbl.replace tbl name (layout_of index name))
+    index.Csrc.Index.composites;
+  tbl
 
 (* ------------------------------------------------------------------ *)
 (* Object access                                                       *)
@@ -496,20 +506,24 @@ let builtin_ids : int Stbl.t =
   tbl
 
 (** How a builtin call site reaches its arguments, abstracted over the
-    executor: the closure compiler ({!Jit}) invokes pre-compiled
-    per-argument closures, a tree-walker would evaluate argument ASTs on
-    demand. Arguments stay lazy — several builtins evaluate only some of
-    their arguments, or none, or one of them twice, and that order is
+    executor and its frame type ['f]: the closure compiler ({!Jit})
+    invokes pre-compiled per-argument closures on its slot frame, the
+    test suite's tree-walker evaluates argument ASTs in its environment.
+    One record serves a call site for its whole life: the frame is an
+    argument of each closure, not state of the record, so the record is
+    immutable and every domain can run the same site at once.
+    Arguments stay lazy — several builtins evaluate only some of their
+    arguments, or none, or one of them twice, and that order is
     observable (allocation order, crash sites). *)
-type builtin_ctx = {
+type 'f builtin_ctx = {
   bn : int;  (** argument count at the call site *)
-  bv : int -> value;
+  bv : 'f -> int -> value;
       (** evaluate argument [i]; user pointers to plain byte buffers
           read as [Str] (string-builtin view); out of range is 0 *)
-  braw : int -> value;  (** evaluate argument [i] without the string view *)
-  bstore : int -> value -> bool;
+  braw : 'f -> int -> value;  (** evaluate argument [i] without the string view *)
+  bstore : 'f -> int -> value -> bool;
       (** store through argument [i] as an lvalue; false if it is not one *)
-  bsstore : int -> value -> bool;
+  bsstore : 'f -> int -> value -> bool;
       (** store through an [&x]-shaped argument [i] ([copy_from_user] on
           a scalar local); false if the shape does not match *)
   bfops : unit -> string option;
@@ -517,16 +531,20 @@ type builtin_ctx = {
   bio : unit -> value;  (** the [_IO*] encoder applied to the original call *)
 }
 
-let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_ctx) :
-    value option =
-  let v = b.bv in
-  let iv i = as_int (v i) in
-  let alloc_checked size ~vmalloc =
-    if vmalloc && Int64.equal size 0L then Crash.raise_crash Crash.Zero_size_vmalloc fn;
-    if Int64.compare size 0x7fffffffL > 0 then Crash.raise_crash Crash.Kmalloc_bug fn;
-    if Int64.compare size 0L <= 0 then vzero
-    else vptr (new_obj st ~fn ~tracked:true Opaque)
-  in
+(** Run builtin [id] ([name]) with its arguments reached through [b] on
+    frame [fr]; [None] when [id] is no builtin. *)
+(* Helpers of {!builtin_values_id}, at top level so that a builtin call
+   allocates no closure for them. *)
+let iv (b : 'f builtin_ctx) (fr : 'f) i = as_int (b.bv fr i)
+
+let alloc_checked st ~fn size ~vmalloc =
+  if vmalloc && Int64.equal size 0L then Crash.raise_crash Crash.Zero_size_vmalloc fn;
+  if Int64.compare size 0x7fffffffL > 0 then Crash.raise_crash Crash.Kmalloc_bug fn;
+  if Int64.compare size 0L <= 0 then vzero
+  else vptr (new_obj st ~fn ~tracked:true Opaque)
+
+let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : 'f builtin_ctx)
+    (fr : 'f) : value option =
   let scalar_of_uval = function
     | U_int x -> vint x
     | U_str s -> vstr s
@@ -535,23 +553,23 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
   in
   match id with
   | 0 -> (
-      let src = v 1 in
+      let src = b.bv fr 1 in
       let copy_user uv =
         if uv = U_null then vone
         else
-          match view (b.braw 0) with
+          match view (b.braw fr 0) with
           | Ptr o ->
               check_alive ~fn o;
               materialize_into st ~fn o uv;
               vzero
-          | _ -> if b.bsstore 0 (scalar_of_uval uv) then vzero else vone
+          | _ -> if b.bsstore fr 0 (scalar_of_uval uv) then vzero else vone
       in
       match view src with
       | Uptr uv -> Some (copy_user uv)
       | Str s -> Some (copy_user (U_str s))
       | Ptr src_o -> (
           check_alive ~fn src_o;
-          match view (b.braw 0) with
+          match view (b.braw fr 0) with
           | Ptr dst_o ->
               check_alive ~fn dst_o;
               copy_struct ~fn dst_o src_o;
@@ -559,11 +577,11 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
           | _ -> Some vone)
       | Int _ | Unit | Fn _ -> Some vone)
   | 1 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Uptr U_null | Int 0L -> Some vone
       | _ -> Some vzero)
   | 2 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Uptr U_null | Int 0L -> Some vzero
       | Uptr uv ->
           let o = new_obj st ~fn ~tracked:true (Fields (Stbl.create 8)) in
@@ -572,21 +590,21 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
       | Ptr o -> Some (vptr o)
       | _ -> Some vzero)
   | 3 -> (
-      match (view (v 0), view (v 1)) with
+      match (view (b.bv fr 0), view (b.bv fr 1)) with
       | _, (Uptr U_null | Int 0L) -> Some (vint (-14L))
       | lv, Uptr (U_str s) ->
           (match lv with
           | Ptr o -> set_field ~fn o "__scalar" (vstr s)
           | _ -> ());
-          ignore (b.bstore 0 (vstr s));
+          ignore (b.bstore fr 0 (vstr s));
           Some (vint (Int64.of_int (String.length s)))
       | _, _ -> Some vzero)
-  | 4 | 5 -> Some (alloc_checked (iv 0) ~vmalloc:false)
-  | 6 -> Some (alloc_checked (iv 0) ~vmalloc:false)
-  | 7 -> Some (alloc_checked (Int64.mul (iv 0) (iv 1)) ~vmalloc:false)
-  | 8 | 9 -> Some (alloc_checked (iv 0) ~vmalloc:true)
+  | 4 | 5 -> Some (alloc_checked st ~fn (iv b fr 0) ~vmalloc:false)
+  | 6 -> Some (alloc_checked st ~fn (iv b fr 0) ~vmalloc:false)
+  | 7 -> Some (alloc_checked st ~fn (Int64.mul (iv b fr 0) (iv b fr 1)) ~vmalloc:false)
+  | 8 | 9 -> Some (alloc_checked st ~fn (iv b fr 0) ~vmalloc:true)
   | 10 | 11 | 12 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Int 0L | Unit -> Some vzero
       | Ptr o ->
           if o.freed then Crash.raise_crash Crash.Double_free fn;
@@ -594,63 +612,63 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
           Some vzero
       | _ -> Some vzero)
   | 13 | 14 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__locked" vzero;
       Some vzero
   | 15 | 16 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       if truthy (get_field ~fn o "__locked") then Crash.raise_crash Crash.Deadlock fn;
       set_field ~fn o "__locked" vone;
       Some vzero
   | 17 | 18 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__locked" vzero;
       Some vzero
   | 19 | 20 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       if truthy (get_field ~fn o "__on_list") then
         Crash.raise_crash Crash.List_corruption fn;
       set_field ~fn o "__on_list" vone;
       Some vzero
   | 21 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__on_list" vzero;
       Some vzero
   | 22 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__on_list" vzero;
       Some vzero
   | 23 | 24 ->
-      let c = v 0 in
+      let c = b.bv fr 0 in
       if truthy c then Crash.raise_crash Crash.Warning fn;
       Some c
   | 25 ->
-      if truthy (v 0) then Crash.raise_crash Crash.Kernel_bug fn;
+      if truthy (b.bv fr 0) then Crash.raise_crash Crash.Kernel_bug fn;
       Some vzero
   | 26 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__done" vzero;
       Some vzero
   | 27 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__done" vone;
       Some vzero
   | 28 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       if not (truthy (get_field ~fn o "__done")) then
         Crash.raise_crash Crash.Task_hung fn;
       Some vzero
   | 29 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       set_field ~fn o "__pending" vzero;
       Some vzero
   | 30 ->
-      let o = expect_obj ~fn name (v 0) in
+      let o = expect_obj ~fn name (b.bv fr 0) in
       if truthy (get_field ~fn o "__pending") then Crash.raise_crash Crash.Odebug fn;
       set_field ~fn o "__pending" vone;
       Some vzero
   | 31 | 32 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Ptr o ->
           set_field ~fn o "__pending" vzero;
           Some vzero
@@ -659,18 +677,18 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
   | 35 -> Some vone
   | 36 | 37 | 38 | 39 -> Some vzero
   | 40 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Ptr o ->
           check_alive ~fn o;
           (match o.data with
           | Fields tbl -> Stbl.reset tbl
           | Typed tf -> Array.fill tf.tcells 0 (Array.length tf.tcells) vzero
-          | Cells cells -> Array.fill cells 0 (Array.length cells) (vint (iv 1))
+          | Cells cells -> Array.fill cells 0 (Array.length cells) (vint (iv b fr 1))
           | Opaque -> ());
-          Some (v 0)
+          Some (b.bv fr 0)
       | _ -> Some vzero)
   | 41 -> (
-      match (view (v 0), view (v 1)) with
+      match (view (b.bv fr 0), view (b.bv fr 1)) with
       | Ptr d, Ptr s ->
           check_alive ~fn d;
           check_alive ~fn s;
@@ -678,56 +696,56 @@ let builtin_values_id (st : state) ~fn (id : int) (name : string) (b : builtin_c
           | Cells dc, Cells sc ->
               Array.blit sc 0 dc 0 (min (Array.length sc) (Array.length dc))
           | _ -> copy_struct ~fn d s);
-          Some (v 0)
+          Some (b.bv fr 0)
       | _ -> Some vzero)
   | 42 -> (
-      match (view (v 0), view (v 1)) with
+      match (view (b.bv fr 0), view (b.bv fr 1)) with
       | Str a, Str b -> Some (vint (Int64.of_int (String.compare a b)))
       | Ptr a, Ptr b -> Some (vbool (a.oid <> b.oid))
       | _ -> Some vone)
   | 43 -> (
-      match (view (v 0), view (v 1)) with
+      match (view (b.bv fr 0), view (b.bv fr 1)) with
       | Str a, Str b -> Some (vint (Int64.of_int (String.compare a b)))
       | _ -> Some vone)
   | 44 -> (
-      match (view (v 0), view (v 1)) with
-      | Str a, Str b ->
-          let n = Int64.to_int (iv 2) in
+      match (view (b.bv fr 0), view (b.bv fr 1)) with
+      | Str x, Str y ->
+          let n = Int64.to_int (iv b fr 2) in
           let trunc s = if String.length s > n then String.sub s 0 n else s in
-          Some (vint (Int64.of_int (String.compare (trunc a) (trunc b))))
+          Some (vint (Int64.of_int (String.compare (trunc x) (trunc y))))
       | _ -> Some vone)
   | 45 -> (
-      match view (v 0) with
+      match view (b.bv fr 0) with
       | Str s -> Some (vint (Int64.of_int (String.length s)))
       | _ -> Some vzero)
   | 46 | 47 ->
-      let src = match view (v 1) with Str s -> s | _ -> Value.to_string (v 1) in
-      let n = Int64.to_int (iv 2) in
+      let src = match view (b.bv fr 1) with Str s -> s | _ -> Value.to_string (b.bv fr 1) in
+      let n = Int64.to_int (iv b fr 2) in
       let src = if String.length src > n then String.sub src 0 n else src in
-      if b.bstore 0 (vstr src) then Some (vint (Int64.of_int (String.length src)))
+      if b.bstore fr 0 (vstr src) then Some (vint (Int64.of_int (String.length src)))
       else Some vzero
   | 48 ->
-      let text = match view (v 2) with Str s -> s | _ -> Value.to_string (v 2) in
-      if b.bstore 0 (vstr text) then Some (vint (Int64.of_int (String.length text)))
+      let text = match view (b.bv fr 2) with Str s -> s | _ -> Value.to_string (b.bv fr 2) in
+      if b.bstore fr 0 (vstr text) then Some (vint (Int64.of_int (String.length text)))
       else Some vzero
   | 49 | 50 -> (
       match b.bn with
-      | 2 -> Some (vint (min (as_int (b.braw 0)) (as_int (b.braw 1))))
-      | 3 -> Some (vint (min (as_int (b.braw 1)) (as_int (b.braw 2))))
+      | 2 -> Some (vint (min (as_int (b.braw fr 0)) (as_int (b.braw fr 1))))
+      | 3 -> Some (vint (min (as_int (b.braw fr 1)) (as_int (b.braw fr 2))))
       | _ -> Some vzero)
   | 51 | 52 -> (
       match b.bn with
-      | 2 -> Some (vint (max (as_int (b.braw 0)) (as_int (b.braw 1))))
-      | 3 -> Some (vint (max (as_int (b.braw 1)) (as_int (b.braw 2))))
+      | 2 -> Some (vint (max (as_int (b.braw fr 0)) (as_int (b.braw fr 1))))
+      | 3 -> Some (vint (max (as_int (b.braw fr 1)) (as_int (b.braw fr 2))))
       | _ -> Some vzero)
   | 53 ->
-      let i = iv 0 and n = iv 1 in
+      let i = iv b fr 0 and n = iv b fr 1 in
       Some (vint (if Int64.compare i n < 0 && Int64.compare i 0L >= 0 then i else 0L))
   | 54 | 55 | 56 -> Some vzero
-  | 57 -> Some (vint (Int64.logand (iv 0) 0xffL))
-  | 58 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv 0) 8) 0xffL))
-  | 59 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv 0) 16) 0x3fffL))
-  | 60 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv 0) 30) 0x3L))
+  | 57 -> Some (vint (Int64.logand (iv b fr 0) 0xffL))
+  | 58 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv b fr 0) 8) 0xffL))
+  | 59 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv b fr 0) 16) 0x3fffL))
+  | 60 -> Some (vint (Int64.logand (Int64.shift_right_logical (iv b fr 0) 30) 0x3L))
   | 61 | 62 | 63 | 64 | 65 ->
       (* constant contexts resolve through the index; runtime occurrences
          use the same encoder *)

@@ -14,10 +14,11 @@
       and — via {!Value.Pool} — no per-call array allocation on the hot
       path);
     - builtin call sites pre-compile one closure per argument and per
-      lvalue argument plus one {!Interp.builtin_ctx} record per site
-      (the current frame threads through a mutable cell, so steady-state
-      builtin execution allocates nothing for dispatch);
-    - user call sites resolve their callee's compiled code once;
+      lvalue argument plus one immutable {!Interp.builtin_ctx} record
+      per site (the closures take the current frame as an argument, so
+      builtin dispatch allocates nothing);
+    - user call sites resolve their callee's compiled code once, when
+      the whole index has been compiled;
     - [goto] raises a pre-resolved statement index instead of searching
       a label list;
     - each global's initializer is lowered once ({!get_global} runs the
@@ -25,7 +26,13 @@
       fresh state);
     - every static field and global name is {!Value.intern}ed, so the
       [Stbl] probes the compiled code performs hit the pointer-compare
-      fast path.
+      fast path;
+    - every composite's layout plan is built up front
+      ({!Interp.layouts_of_index}).
+
+    Nothing in a compiled [t] is written after {!of_index} returns:
+    executions keep their mutable state in their {!Interp.state}, so
+    one [t] serves every campaign on every domain at once.
 
     The compiled code runs over the {!Interp} runtime (state, builtins,
     crash and timeout machinery) and is an exact semantic mirror of the
@@ -65,15 +72,9 @@ type t = {
   funs : fun_code Stbl.t;
   ginits : (Interp.state -> value) Stbl.t;
       (** compiled global initializers, one plan per global *)
-  dummy_env : jenv;
-      (** placeholder frame for builtin-site context cells before their
-          first invocation; never executed against *)
+  layouts : Interp.layout Stbl.t;
+      (** every composite's layout plan, for the states executions run on *)
 }
-
-(* The frame a builtin call site's pre-built context closures read
-   through: set on entry, restored on exit (builtins can re-enter the
-   same site through a user-function callee). *)
-type ctx_cell = { mutable ccur : jenv }
 
 (* Per-function compile context: name -> slot is decided here, on
    demand, so every mention of a name in one function shares a slot. *)
@@ -93,6 +94,11 @@ type ctx = {
       (** (slot, oid-base slot, oid count, zero builder) for
           declarations whose zero construction is deferred to first
           read; see [Decl_stmt] below *)
+  cscratch : Interp.state;
+      (** compile-time state for measuring a deferred zero's oid count;
+          never executed against *)
+  clink : (unit -> unit) list ref;
+      (** call-site links to run once every function is compiled *)
 }
 
 let slot_of (ctx : ctx) (name : string) : int =
@@ -107,6 +113,9 @@ let slot_of (ctx : ctx) (name : string) : int =
 (* ------------------------------------------------------------------ *)
 (* Globals                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* What a user call site's callee cell holds until {!of_index} links it. *)
+let unlinked : fun_code = { fc_name = ""; fc_nslots = 0; fc_params = [||]; fc_body = [||] }
 
 (** Mirror of the reference walker's [get_global]: same lazy-on-first-touch contract
     and the same object allocation order, but running the compiled
@@ -592,24 +601,15 @@ and compile_store (ctx : ctx) (e : Csrc.Ast.expr) : jenv -> value -> unit =
 and compile_call (ctx : ctx) (name : string) (args : Csrc.Ast.expr list) : jenv -> value =
   let eng = ctx.eng in
   (* the user-function decision is stable: the index is frozen after
-     boot, so resolve it once per call site (the compiled code is
-     fetched lazily because the callee may not be compiled yet) *)
+     boot, so resolve it once per call site (the callee may not be
+     compiled yet, so {!of_index} links the cell once all are) *)
   let user_path : (jenv -> value) option =
     match Csrc.Index.find_function eng.index name with
     | Some fd when fd.Csrc.Ast.fun_body <> [] ->
         let cargs = Array.of_list (List.map (compile_expr ctx) args) in
-        let fc_cell = ref None in
-        Some
-          (fun env ->
-            let fc =
-              match !fc_cell with
-              | Some fc -> fc
-              | None ->
-                  let fc = Stbl.find eng.funs name in
-                  fc_cell := Some fc;
-                  fc
-            in
-            exec_fun_args env.st fc cargs env)
+        let fc_cell = ref unlinked in
+        ctx.clink := (fun () -> fc_cell := Stbl.find eng.funs name) :: !(ctx.clink);
+        Some (fun env -> exec_fun_args env.st !fc_cell cargs env)
     | Some _ | None -> None
   in
   match Stbl.find_opt Interp.builtin_ids name with
@@ -661,39 +661,35 @@ and compile_call (ctx : ctx) (name : string) (args : Csrc.Ast.expr list) : jenv 
     | "capable" -> fun _ -> vone
     | "_IO" | "_IOR" | "_IOW" | "_IOWR" | "_IOC" -> fun _ -> io_const
     | _ ->
-        (* one context record per call site, not per execution: the
-           closures reach the live frame through [cell], which the
-           invocation wrapper saves/restores (re-entry through a
-           recursive user callee must see its own frame, and an
-           escaping crash/timeout must not leave a stale one) *)
-        let cell = { ccur = eng.dummy_env } in
-        let b : Interp.builtin_ctx =
+        (* one context record per call site, not per execution: its
+           closures take the live frame as an argument *)
+        let b : jenv Interp.builtin_ctx =
           {
             Interp.bn = n;
             bv =
-              (fun i ->
+              (fun env i ->
                 if i < n then (
-                  let x = cargs.(i) cell.ccur in
+                  let x = cargs.(i) env in
                   if is_imm x then x
                   else match boxed x with B_uptr (U_str s) -> vstr s | _ -> x)
                 else vzero);
-            braw = (fun i -> if i < n then cargs.(i) cell.ccur else vzero);
+            braw = (fun env i -> if i < n then cargs.(i) env else vzero);
             bstore =
-              (fun i sv ->
+              (fun env i sv ->
                 i < n
                 &&
                 try
-                  cstores.(i) cell.ccur sv;
+                  cstores.(i) env sv;
                   true
                 with Interp.Exec_error _ -> false);
             bsstore =
-              (fun i sv ->
+              (fun env i sv ->
                 i < n
                 &&
                 match csstores.(i) with
                 | Some cs -> (
                     try
-                      cs cell.ccur sv;
+                      cs env sv;
                       true
                     with Interp.Exec_error _ -> false)
                 | None -> false);
@@ -701,17 +697,7 @@ and compile_call (ctx : ctx) (name : string) (args : Csrc.Ast.expr list) : jenv 
             bio = (fun () -> io_const);
           }
         in
-        let invoke env =
-          let saved = cell.ccur in
-          cell.ccur <- env;
-          match Interp.builtin_values_id env.st ~fn:env.fn bid name b with
-          | r ->
-              cell.ccur <- saved;
-              r
-          | exception e ->
-              cell.ccur <- saved;
-              raise e
-        in
+        let invoke env = Interp.builtin_values_id env.st ~fn:env.fn bid name b env in
         (match user_path with
         | Some up ->
             fun env -> (
@@ -777,7 +763,7 @@ and compile_node (ctx : ctx) (node : Csrc.Ast.stmt_node) : jenv -> unit =
           in
           let k =
             if deferrable then (
-              let scratch = ctx.eng.dummy_env.st in
+              let scratch = ctx.cscratch in
               let before = scratch.Interp.next_oid in
               ignore (cz scratch);
               scratch.Interp.next_oid - before)
@@ -967,7 +953,8 @@ and compile_block (ctx : ctx) (b : Csrc.Ast.block) : jenv -> unit =
 (* Whole-index compilation                                             *)
 (* ------------------------------------------------------------------ *)
 
-let compile_fun (eng : t) (name : string) (fd : Csrc.Ast.func_def) : fun_code =
+let compile_fun (eng : t) ~scratch ~link (name : string) (fd : Csrc.Ast.func_def) :
+    fun_code =
   let labels =
     List.rev
       (snd
@@ -987,25 +974,30 @@ let compile_fun (eng : t) (name : string) (fd : Csrc.Ast.func_def) : fun_code =
       cnslots = 0;
       ctop = true;
       cdefer = [];
+      cscratch = scratch;
+      clink = link;
     }
   in
   let params = Array.of_list (List.map (fun (_, p) -> slot_of ctx p) fd.Csrc.Ast.fun_params) in
   let body = Array.of_list (List.map (compile_stmt ctx) fd.Csrc.Ast.fun_body) in
   { fc_name = name; fc_nslots = ctx.cnslots; fc_params = params; fc_body = body }
 
-(** Compile every global initializer and every function with a body,
-    once. The index is frozen after {!Machine.boot}, so both tables are
+(** Compile every composite layout, every global initializer and every
+    function with a body, once, then link every user call site to its
+    callee. The index is frozen after {!Machine.boot}, so all of it is
     read-only afterwards. *)
 let of_index (index : Csrc.Index.t) : t =
-  let dummy_env =
-    { st = Interp.create ~index (); slots = [||]; fn = "__never_run" }
-  in
-  let eng = { index; funs = Stbl.create 256; ginits = Stbl.create 256; dummy_env } in
+  let layouts = Interp.layouts_of_index index in
+  let eng = { index; funs = Stbl.create 256; ginits = Stbl.create 256; layouts } in
+  let scratch = Interp.create ~index ~layouts () in
+  let link = ref [] in
   Hashtbl.iter
     (fun name g -> Stbl.replace eng.ginits name (compile_ginit eng g))
     index.Csrc.Index.globals;
   Hashtbl.iter
     (fun name (fd : Csrc.Ast.func_def) ->
-      if fd.Csrc.Ast.fun_body <> [] then Stbl.replace eng.funs name (compile_fun eng name fd))
+      if fd.Csrc.Ast.fun_body <> [] then
+        Stbl.replace eng.funs name (compile_fun eng ~scratch ~link name fd))
     index.Csrc.Index.functions;
+  List.iter (fun f -> f ()) !link;
   eng

@@ -44,15 +44,11 @@ type t = {
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
   jit : Jit.t Lazy.t;
-      (** closure-compiled function bodies; forced on first execution so
-          boots that never execute programs pay nothing *)
-  layouts : Interp.layout Value.Stbl.t;
-      (** composite layout plans shared by every per-execution state:
-          the index is frozen after boot, so a struct's field walk is
-          computed once per machine, not once per instantiation *)
-  frames : Value.Pool.t;
-      (** free-list pool for call frames (jit slot arrays), shared by
-          every per-execution state of this machine like [layouts] *)
+      (** closure-compiled function bodies and layout plans; forced on
+          first execution so boots that never execute programs pay
+          nothing. Once forced, nothing in the machine is written
+          again: executions keep their state in per-execution and
+          per-campaign scratch, so domains can share one machine. *)
   n_sids : int;  (** statement-id count, sizes coverage bitmaps *)
 }
 
@@ -105,8 +101,6 @@ let boot (entries : Corpus.Types.entry list) : t =
     sid_module;
     modules = List.map (fun (e : Corpus.Types.entry) -> e.name) entries;
     jit = lazy (Jit.of_index index);
-    layouts = Value.Stbl.create 64;
-    frames = Value.Pool.create ();
     n_sids = !sid;
   }
 
@@ -129,6 +123,9 @@ type cov_sink = {
       (** [sink_record] on this sink, built once — the hot loop hands it
           to every execution's state instead of closing over the sink
           again per program *)
+  cs_frames : Value.Pool.t;
+      (** call-frame free list of the campaign's executions, so steady
+          state reuses frames across programs *)
 }
 
 let sink_record (sk : cov_sink) (sid : int) : unit =
@@ -159,6 +156,7 @@ let new_sink (t : t) : cov_sink =
       cs_buf = Array.make 1024 0;
       cs_n = 0;
       cs_hook = ignore;
+      cs_frames = Value.Pool.create ();
     }
   in
   sk.cs_hook <- (fun sid -> sink_record sk sid);
@@ -586,9 +584,10 @@ let exec_call (run : run) (retvals : int64 array) (c : call) : int64 =
 let exec_prog_core ~(step_budget : int) ~(exec : executor) ~(sink : cov_sink option)
     (t : t) (prog : prog) : exec_result =
   let on_cover = match sink with Some sk -> Some sk.cs_hook | None -> None in
+  let frames = match sink with Some sk -> sk.cs_frames | None -> Value.Pool.create () in
   let st =
-    Interp.create ~index:t.index ~layouts:t.layouts ~frames:t.frames ~step_budget
-      ?on_cover ()
+    Interp.create ~index:t.index ~layouts:(Lazy.force t.jit).Jit.layouts ~frames
+      ~step_budget ?on_cover ()
   in
   let run = { machine = t; st; fds = Hashtbl.create 8; next_fd = 3; exec } in
   st.Interp.spawn_fd <-

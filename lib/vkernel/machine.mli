@@ -46,14 +46,12 @@ type t = {
   sid_module : (int, string) Hashtbl.t;
   modules : string list;
   jit : Jit.t Lazy.t;
-      (** closure-compiled function bodies and global-initializer plans;
-          forced by campaign init (or on first execution) so boots that
-          never execute programs pay nothing *)
-  layouts : Interp.layout Value.Stbl.t;
-      (** composite layout plans shared by every per-execution state *)
-  frames : Value.Pool.t;
-      (** free-list pool for call frames (jit slot arrays), shared by
-          every per-execution state like [layouts] *)
+      (** closure-compiled function bodies, global-initializer plans and
+          composite layouts; forced by campaign init (or on first
+          execution) so boots that never execute programs pay nothing.
+          Once it is forced, nothing in [t] is written again, so any
+          number of domains may execute programs on one machine.
+          Forcing is not domain-safe: force it before sharing. *)
   n_sids : int;  (** statement-id count, sizes coverage bitmaps *)
 }
 
@@ -76,15 +74,18 @@ type executor = {
   ex_global : t -> Interp.state -> int -> string -> Value.value option;
 }
 
-(** Reusable per-campaign coverage collector: a bitmap over statement
+(** Reusable per-campaign scratch: a coverage bitmap over statement
     ids plus the list of sids touched by the current execution
-    ([cs_buf.(0 .. cs_n-1)]). Recording allocates nothing once warm. *)
+    ([cs_buf.(0 .. cs_n-1)]), and the call-frame pool its executions
+    share. Recording allocates nothing once warm. A sink belongs to one
+    campaign, so to one domain. *)
 type cov_sink = {
   mutable cs_bits : Bytes.t;
   mutable cs_buf : int array;
   mutable cs_n : int;
   mutable cs_hook : int -> unit;
       (** [sink_record] on this sink, built once by {!new_sink} *)
+  cs_frames : Value.Pool.t;  (** call-frame free list of its executions *)
 }
 
 val new_sink : t -> cov_sink
@@ -92,9 +93,10 @@ val new_sink : t -> cov_sink
 (** Clear the touched bits and rewind the buffer for the next run. *)
 val sink_reset : cov_sink -> unit
 
-(** Execute a program against a fresh kernel state: run each call, close
-    remaining file descriptors at exit (release handlers may crash), and
-    run the kmemleak-style reachability scan. Deterministic. *)
+(** Execute a program against a fresh kernel state (and a fresh frame
+    pool): run each call, close remaining file descriptors at exit
+    (release handlers may crash), and run the kmemleak-style
+    reachability scan. Deterministic. *)
 val exec_prog : ?step_budget:int -> t -> prog -> exec_result
 
 (** Like {!exec_prog}, but statement coverage lands in [sink] instead of

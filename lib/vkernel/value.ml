@@ -391,8 +391,9 @@ and uval_to_string = function
     [caml_make_vect] per guest call with an array-stack pop. Released
     arrays are scrubbed back to {!unbound} (the acquire contract), and
     frames lost to an exception unwind are simply collected — the pool
-    never owns a frame that is still in use. One pool per executor
-    machine; machines are single-domain, so no locking. *)
+    never owns a frame that is still in use. One pool per campaign (in
+    its coverage sink) or per single execution, so one domain uses it
+    and it needs no locking. *)
 module Pool = struct
   (* recursion depth is capped at 64 frames, so a bucket never needs to
      hold more than that many frames of one size *)

@@ -35,6 +35,32 @@ if ! diff -u "$tmp/seq.out" "$tmp/par.out"; then
 fi
 echo "OK: --jobs 4 table3 output is byte-identical to sequential"
 
+echo "== parallel-vs-sequential equivalence (whole quick report) =="
+# Every table of the quick report shares its booted machines across the
+# pool's workers, so the whole report must not depend on --jobs either.
+# The Bechamel micro-benchmark lines (" ns/run") are wall-clock
+# measurements, filtered like the lines above. The --jobs 4 run is
+# traced, so this also checks that tracing leaves every table's stdout
+# alone; both traced runs must record the same kernel boots, since
+# every boot happens on the calling domain before a pool starts.
+dune exec --no-build bench/main.exe -- --exp all --bench-out "$tmp/bench_discard.json" --jobs 1 \
+  2>/dev/null | filter | grep -v ' ns/run$' > "$tmp/all_seq.out"
+dune exec --no-build bench/main.exe -- --exp all --bench-out "$tmp/bench_discard.json" --jobs 4 \
+  --trace "$tmp/all_par.jsonl" 2>/dev/null | filter | grep -v ' ns/run$' > "$tmp/all_par.out"
+if ! diff -u "$tmp/all_seq.out" "$tmp/all_par.out"; then
+  echo "FAIL: --jobs 4 quick report differs from sequential run" >&2
+  exit 1
+fi
+dune exec --no-build bench/main.exe -- --exp all --bench-out "$tmp/bench_discard.json" --jobs 1 \
+  --trace "$tmp/all_seq.jsonl" >/dev/null 2>&1
+boots_seq=$(grep -c '"kind":"report.boot"' "$tmp/all_seq.jsonl" || true)
+boots_par=$(grep -c '"kind":"report.boot"' "$tmp/all_par.jsonl" || true)
+if [ "$boots_seq" -eq 0 ] || [ "$boots_seq" -ne "$boots_par" ]; then
+  echo "FAIL: report.boot spans: $boots_seq at --jobs 1, $boots_par at --jobs 4" >&2
+  exit 1
+fi
+echo "OK: --jobs 4 quick report is byte-identical to sequential, with the same $boots_seq boots"
+
 echo "== traced run: stdout unchanged, JSONL valid =="
 # Tracing and metrics must not leak into stdout, and the emitted trace
 # must parse and cover every major span kind.
@@ -54,7 +80,7 @@ fi
 
 dune exec --no-build bin/kernelgpt_cli.exe -- trace "$tmp/trace.jsonl" \
   --expect pipeline --expect pipeline.stage --expect oracle.query \
-  --expect pool.run --expect pool.task --expect fuzz.campaign
+  --expect pool.run --expect pool.task --expect fuzz.campaign --expect report.boot
 echo "OK: trace JSONL parses and contains the expected span kinds"
 
 echo "== fault injection: recovery at a moderate rate =="

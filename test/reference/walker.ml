@@ -309,21 +309,21 @@ and builtin env name (args : Csrc.Ast.expr list) : value option =
       {
         bn = List.length args;
         bv =
-          (fun i ->
+          (fun env i ->
             (* user pointers to plain byte buffers behave like strings
                for the string builtins *)
             let x = eval env (arg i) in
             if is_imm x then x
             else match boxed x with B_uptr (U_str s) -> vstr s | _ -> x);
-        braw = (fun i -> eval env (arg i));
+        braw = (fun env i -> eval env (arg i));
         bstore =
-          (fun i sv ->
+          (fun env i sv ->
             try
               store env (eval_lval env (arg i)) sv;
               true
             with Exec_error _ -> false);
         bsstore =
-          (fun i sv ->
+          (fun env i sv ->
             match strip_addr (arg i) with
             | Some inner -> (
                 try
@@ -346,7 +346,7 @@ and builtin env name (args : Csrc.Ast.expr list) : value option =
             | None -> vzero);
       }
     in
-    builtin_values_id env.st ~fn:env.fn id name b
+    builtin_values_id env.st ~fn:env.fn id name b env
   end
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,5 @@
 (* Unit tests for the domain work pool: ordering, determinism vs the
-   sequential path, worker-local state, exception propagation, and the
-   timing accounting. *)
+   sequential path, exception propagation, and the timing accounting. *)
 
 let test_map_preserves_order () =
   let items = Array.init 100 (fun i -> i) in
@@ -18,37 +17,6 @@ let test_map_more_jobs_than_tasks () =
   let out = Kernelgpt.Pool.map ~jobs:16 (fun x -> x + 1) [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "pool shrinks to task count" [| 2; 3; 4 |] out
 
-let test_map_init_worker_state_private () =
-  (* each worker gets its own counter: grouped by worker, the returned
-     running counts must form a gapless 1..k stream, and the streams
-     must jointly cover all 64 tasks exactly once *)
-  let items = Array.init 64 (fun i -> i) in
-  let next_id = Atomic.make 0 in
-  let out =
-    Kernelgpt.Pool.map_init ~jobs:4
-      ~init:(fun () -> (Atomic.fetch_and_add next_id 1, ref 0))
-      ~f:(fun (id, counter) _ ->
-        incr counter;
-        (id, !counter))
-      items
-  in
-  Alcotest.(check int) "every task ran" 64 (Array.length out);
-  let per_worker = Hashtbl.create 8 in
-  Array.iter
-    (fun (id, c) ->
-      let prev = Option.value (Hashtbl.find_opt per_worker id) ~default:0 in
-      Hashtbl.replace per_worker id (max prev c))
-    out;
-  let covered = Hashtbl.fold (fun _ k acc -> acc + k) per_worker 0 in
-  Alcotest.(check int) "worker streams partition the tasks" 64 covered;
-  (* each worker's stream is gapless: count c appears exactly once per worker *)
-  let seen = Hashtbl.create 64 in
-  Array.iter
-    (fun (id, c) ->
-      Alcotest.(check bool) "no duplicated count in a stream" false (Hashtbl.mem seen (id, c));
-      Hashtbl.replace seen (id, c) ())
-    out
-
 let test_exception_propagates () =
   let boom () =
     ignore
@@ -57,16 +25,6 @@ let test_exception_propagates () =
          (Array.init 20 (fun i -> i)))
   in
   Alcotest.check_raises "worker exception reaches caller" (Failure "task exploded") boom
-
-let test_exception_in_init_propagates () =
-  let boom () =
-    ignore
-      (Kernelgpt.Pool.map_init ~jobs:2
-         ~init:(fun () -> failwith "init exploded")
-         ~f:(fun () x -> x)
-         [| 1; 2; 3 |])
-  in
-  Alcotest.check_raises "init exception reaches caller" (Failure "init exploded") boom
 
 let test_stats_accounting () =
   Kernelgpt.Pool.reset_stats ();
@@ -91,8 +49,8 @@ let test_labels_logged () =
     [ "job:7"; "job:8" ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault isolation: stealing, retries, quarantine, worker death,      *)
-(* stragglers, the bounded log, and the determinism contract          *)
+(* Fault isolation: stealing, retries, quarantine, stragglers, the    *)
+(* bounded log, and the determinism contract                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_steal_path () =
@@ -118,8 +76,7 @@ let test_retry_then_succeed () =
   let tried = Hashtbl.create 8 in
   let out =
     Kernelgpt.Pool.map_outcomes ~jobs:2
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
+      ~f:(fun x ->
         if x = 3 then begin
           Mutex.lock mu;
           let first = not (Hashtbl.mem tried x) in
@@ -141,8 +98,7 @@ let test_quarantine_after_budget () =
   Kernelgpt.Pool.reset_stats ();
   let out =
     Kernelgpt.Pool.map_outcomes ~jobs:2
-      ~init:(fun () -> ())
-      ~f:(fun () x -> if x = 2 then failwith "always broken" else x)
+      ~f:(fun x -> if x = 2 then failwith "always broken" else x)
       (Array.init 6 (fun i -> i))
   in
   (match out.(2) with
@@ -163,34 +119,11 @@ let test_quarantine_after_budget () =
   Alcotest.(check int) "one task quarantined" 1 s.s_quarantined;
   Alcotest.(check int) "retries before giving up" Kernelgpt.Pool.default_retries s.s_retries
 
-let test_worker_death_degrades () =
-  (* one domain's init raises: the pool must degrade to the survivors
-     and still resolve every task *)
-  Kernelgpt.Pool.reset_stats ();
-  let next = Atomic.make 0 in
-  let out =
-    Kernelgpt.Pool.map_outcomes ~jobs:3
-      ~init:(fun () ->
-        if Atomic.fetch_and_add next 1 = 0 then failwith "init exploded";
-        ())
-      ~f:(fun () x -> x + 1)
-      (Array.init 12 (fun i -> i))
-  in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Kernelgpt.Pool.Ok v -> Alcotest.(check int) "survivors ran every task" (i + 1) v
-      | Kernelgpt.Pool.Failed _ -> Alcotest.fail "no task should be lost to a worker death")
-    out;
-  let s = Kernelgpt.Pool.stats () in
-  Alcotest.(check int) "one worker death recorded" 1 s.s_worker_deaths
-
 let test_deadline_flags_straggler () =
   Kernelgpt.Pool.reset_stats ();
   let out =
     Kernelgpt.Pool.map_outcomes ~jobs:2 ~deadline_s:0.01
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
+      ~f:(fun x ->
         if x = 1 then Unix.sleepf 0.05;
         x)
       (Array.init 4 (fun i -> i))
@@ -242,8 +175,7 @@ let prop_jobs_identity =
         let out =
           Kernelgpt.Pool.map_outcomes ~jobs ~faults:plan
             ~label:(fun i _ -> "prop:" ^ string_of_int i)
-            ~init:(fun () -> ())
-            ~f:(fun () x -> x * 7)
+            ~f:(fun x -> x * 7)
             items
         in
         let s = Kernelgpt.Pool.stats () in
@@ -268,9 +200,7 @@ let () =
           t "order preserved" test_map_preserves_order;
           t "empty input" test_map_empty;
           t "more jobs than tasks" test_map_more_jobs_than_tasks;
-          t "worker state private" test_map_init_worker_state_private;
           t "task exception propagates" test_exception_propagates;
-          t "init exception propagates" test_exception_in_init_propagates;
           t "stats accounting" test_stats_accounting;
           t "labels logged" test_labels_logged;
         ] );
@@ -279,7 +209,6 @@ let () =
           t "steal path" test_steal_path;
           t "retry then succeed" test_retry_then_succeed;
           t "quarantine after budget" test_quarantine_after_budget;
-          t "worker death degrades pool" test_worker_death_degrades;
           t "deadline flags straggler" test_deadline_flags_straggler;
           t "map raises lowest index" test_map_raises_lowest_index;
           t "timing log bounded" test_timing_log_bounded;
